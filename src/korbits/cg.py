@@ -112,16 +112,18 @@ def cg_projection(m, n, k):
         img = _tensor_f(m, n, vec)
         constraints.append([img[x * (n + 1) + y] for (x, y) in blk])
     if constraints:
-        red, pivots = linalg.rref(constraints)
+        # The kernel vector with d at the free column: each echelon row
+        # d x_p + row[free] x_free = 0 gives x_p = -row[free].
+        red, pivots, d = linalg.echelon(constraints)
         free = [j for j in range(len(blk)) if j not in pivots]
         assert len(free) == 1
-        row0_blk = [Fraction(0)] * len(blk)
-        row0_blk[free[0]] = Fraction(1)
+        row0_blk = [0] * len(blk)
+        row0_blk[free[0]] = d
         for rrow, p in zip(red, pivots):
             row0_blk[p] = -rrow[free[0]]
     else:
         assert len(blk) == 1
-        row0_blk = [Fraction(1)]
+        row0_blk = [1]
     row0 = [Fraction(0)] * dim
     for coef, (a, b) in zip(row0_blk, blk):
         row0[a * (n + 1) + b] = coef

@@ -114,11 +114,8 @@ def _case_params(args):
 
 def _cmd_semigroup(args):
     params = _case_params(args)
-    try:
-        system = build_case_system(args.case, params)
-        closed = closed_form_generators(args.case, params)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}") from None
+    system = build_case_system(args.case, params)
+    closed = closed_form_generators(args.case, params)
     enum = gamma_semigroup(system, args.max_degree)
     match = sorted(g.key() for g in enum) == sorted(g.key() for g in closed)
     lat = semigroup.lattice(system)
@@ -150,10 +147,7 @@ def _cmd_semigroup(args):
 
 def _cmd_normality(args):
     params = _case_params(args)
-    try:
-        system = build_case_system(args.case, params)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}") from None
+    system = build_case_system(args.case, params)
     res = normality_check(system)
     covers = covering_differences(system, args.bound)
     lat = semigroup.lattice(system)

@@ -113,11 +113,6 @@ def enumerate_pairs(g_type, rank):
     return [_make_pair(g_type, rank, p) for p in marked]
 
 
-def center_order(spec):
-    """Order m of the generating central cocharacter; chi(z(xi)) = xi^m."""
-    return spec.m
-
-
 def p_module_weights(spec):
     """K^ss-highest weights of p1 and p2 with their central charges.
 

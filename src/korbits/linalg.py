@@ -1,13 +1,15 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals and over GF(p).
 
 Matrices are lists of lists of ints or Fractions; nothing here ever touches
-floating point.  Sizes in this package stay small (a few hundred rows at
-most), so plain Gaussian elimination with full pivot bookkeeping is enough.
+floating point.  One fraction-free elimination kernel, `echelon`, serves
+every exact rank, solve and kernel computation in the package; `simplex_max`
+is a small rational simplex for the LP bounds of the semigroup layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def mat_mul(a, b):
@@ -34,15 +36,6 @@ def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def transpose(a):
-    return [list(row) for row in zip(*a)]
-
-
-def zero_matrix(n, m=None):
-    m = n if m is None else m
-    return [[0] * m for _ in range(n)]
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -51,63 +44,78 @@ def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
 
 
-def mat_pow(a, k):
-    n = len(a)
-    out = identity(n)
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
+def echelon(rows, p=None):
+    """Fraction-free Gauss-Jordan elimination of integer rows.
 
+    Over Q (p is None) this is Bareiss elimination (Math. Comp. 22, 1968):
+    each step multiplies every other row by the pivot and divides exactly by
+    the previous pivot, so every entry stays an integer minor of the input,
+    up to sign.  Over GF(p) each pivot row is scaled by the pivot's inverse.
 
-def rank(rows):
-    """Rank of a matrix, by fraction-free elimination with gcd reduction."""
-    m = [[int(x) if isinstance(x, int) else x for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pr = m[r]
-        for i in range(r + 1, len(m)):
-            if m[i][c] != 0:
-                a, b = pr[c], m[i][c]
-                m[i] = [a * x - b * y for x, y in zip(m[i], pr)]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
-def rref(rows, ncols=None):
-    """Reduced row echelon form over Fraction.
-
-    Returns (rref_rows, pivot_columns).
+    Returns (rows, pivots, d): the nonzero rows in echelon order, the pivot
+    column of each, and the common positive pivot value d.  Each row holds
+    d at its own pivot column and 0 at the other pivot columns, so the
+    reduced row echelon form is rows / d; over GF(p), d is 1.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    if ncols is None:
-        ncols = len(m[0]) if m else 0
+    m = [[x % p for x in row] if p else list(row) for row in rows]
+    m = [row for row in m if any(row)]
     pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+    d = 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        a = m[r][c]
+        if p:
+            inv = pow(a, -1, p)
+            m[r] = [x * inv % p for x in m[r]]
+            a = 1
+        elif a < 0:
+            # Negating the pivot row negates one input row; Bareiss stays exact.
+            a = -a
+            m[r] = [-x for x in m[r]]
+        pr = m[r]
+        kept = []
+        for i, row in enumerate(m):
+            f = row[c]
+            if i == r:
+                pass
+            elif f:
+                if p:
+                    row = [(x - f * y) % p for x, y in zip(row, pr)]
+                else:
+                    row = [(a * x - f * y) // d for x, y in zip(row, pr)]
+                if not any(row):
+                    continue
+            elif a != d:
+                row = [a * x // d for x in row]
+            kept.append(row)
+        m = kept
+        d = a
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    return m, pivots, d
+
+
+def _integral(row):
+    """The row scaled to integers by the lcm of its denominators."""
+    if all(type(x) is int for x in row):
+        return row
+    den = lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * den) for x in row]
+
+
+def rank(rows, p=None):
+    """Rank of a matrix over Q, or over GF(p) when a prime p is given.
+
+    Rational entries are allowed over Q; each row is scaled to integers.
+    """
+    if p is None:
+        rows = [_integral(row) for row in rows]
+    return len(echelon(rows, p)[1])
 
 
 def solve(a_columns, b):
@@ -119,14 +127,14 @@ def solve(a_columns, b):
     """
     ncols = len(a_columns)
     nrows = len(b)
-    aug = [[Fraction(a_columns[j][i]) for j in range(ncols)] + [Fraction(b[i])]
+    aug = [_integral([a_columns[j][i] for j in range(ncols)] + [b[i]])
            for i in range(nrows)]
-    red, pivots = rref(aug, ncols=ncols + 1)
+    red, pivots, d = echelon(aug)
     x = [Fraction(0)] * ncols
     for row, c in zip(red, pivots):
         if c == ncols:
             return None
-        x[c] = row[ncols]
+        x[c] = Fraction(row[ncols], d)
     # Consistency check covers the dependent-column case.
     for i in range(nrows):
         if sum(x[j] * Fraction(a_columns[j][i]) for j in range(ncols)) != Fraction(b[i]):

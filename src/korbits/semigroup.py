@@ -1,17 +1,18 @@
 """Order and semigroup machinery on (N-Delta, <=_Sigma).
 
-Membership of a vector in N-Sigma is decided by exact linear solve: the
-spherical-root rows are independent, so coordinates are unique and the test
-is integrality plus nonnegativity.  Enumerations run over sigma-coordinate
-boxes whose per-coordinate bounds come from an exact rational simplex on
-the LP relaxation {c >= 0 : M^t c <= E}; the recession cone of a genuine
-system is trivial, so the boxes are finite and the enumeration is complete.
+Membership of a vector in N-Sigma is decided by one exact elimination per
+system: the spherical-root rows are independent, so coordinates are unique,
+and each query is a few integer dot products divided by the common pivot,
+tested for integrality and nonnegativity.  Enumerations run over
+sigma-coordinate boxes whose per-coordinate bounds come from an exact
+rational simplex on the LP relaxation {c >= 0 : M^t c <= E}; the recession
+cone of a genuine system is trivial, so the boxes are finite and the
+enumeration is complete.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .spherical import system_case_1_4, system_case_1_5, two_wing_structure
@@ -38,58 +39,33 @@ class SigmaLattice:
         self.rows = [list(r) for r in system.sigma_in_colors]
         self.k = len(self.rows)
         self.ncol = len(system.colors)
-        # Row-reduce the transpose once, tracking the transform T with
-        # T A = rref(A); queries then cost one matrix-vector product.
-        aug = [[Fraction(self.rows[j][i]) for j in range(self.k)]
-               + [Fraction(1) if t == i else Fraction(0) for t in range(self.ncol)]
+        # Eliminate [A^T | I] once.  A row whose left part is d e_i gives the
+        # i-th coordinate as (T-row . v) / d; a row whose left part vanishes
+        # must annihilate every vector of Z-Sigma.
+        aug = [[self.rows[j][i] for j in range(self.k)]
+               + [1 if t == i else 0 for t in range(self.ncol)]
                for i in range(self.ncol)]
-        r = 0
-        for c in range(self.k):
-            piv = next((i for i in range(r, self.ncol) if aug[i][c] != 0), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = 1 / aug[r][c]
-            aug[r] = [x * inv for x in aug[r]]
-            for i in range(self.ncol):
-                if i != r and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-            r += 1
-        self._transform = []     # (target sigma index, T-row) for pivot rows
-        self._checks = []        # T-rows that must annihilate the query
-        for row in aug:
-            lead = next((j for j, x in enumerate(row[:self.k]) if x != 0), None)
-            if lead is not None:
-                self._transform.append((lead, row[self.k:]))
-            else:
-                self._checks.append(row[self.k:])
+        red, pivots, self._den = linalg.echelon(aug)
+        self._transform = [(c, row[self.k:]) for row, c in zip(red, pivots) if c < self.k]
+        self._checks = [row[self.k:] for row, c in zip(red, pivots) if c >= self.k]
 
     def colors_of(self, c):
         """Color coordinates of sum_i c_i sigma_i."""
         return tuple(sum(c[j] * self.rows[j][i] for j in range(self.k))
                      for i in range(self.ncol))
 
-    def sigma_coords(self, vec):
-        """Rational sigma-coordinates of a Z-Delta vector, or None."""
-        if self.k == 0:
-            return () if all(x == 0 for x in vec) else None
-        out = [Fraction(0)] * self.k
-        for lead, trow in self._transform:
-            out[lead] = sum(t * v for t, v in zip(trow, vec) if v)
-        for trow in self._checks:
-            if sum(t * v for t, v in zip(trow, vec) if v) != 0:
-                return None
-        return tuple(out)
-
     def nsigma_coords(self, vec):
         """Nonnegative integer sigma-coordinates, or None if not in N-Sigma."""
-        sol = self.sigma_coords(vec)
-        if sol is None:
-            return None
-        if any(x.denominator != 1 or x < 0 for x in sol):
-            return None
-        return tuple(int(x) for x in sol)
+        for trow in self._checks:
+            if sum(t * v for t, v in zip(trow, vec) if v):
+                return None
+        out = [0] * self.k
+        for lead, trow in self._transform:
+            q, rem = divmod(sum(t * v for t, v in zip(trow, vec) if v), self._den)
+            if rem or q < 0:
+                return None
+            out[lead] = q
+        return tuple(out)
 
     def box_bounds(self, E):
         """floor(max c_i) over the LP relaxation, per coordinate."""
@@ -326,16 +302,29 @@ def weight_semigroup(system, lam1, lam2, color_weights, max_degree=4):
 # ---------------------------------------------------------------------------
 # Closed-form generator families
 
+_CASE_PARAMS = {"1.4": ("p",), "1.5": ("q",),
+                "1.6": ("p", "q", "r", "s"), "1.7": ("p", "q", "r", "s")}
+
+
+def _case_args(case_id, params):
+    """The case's parameters in order; ValueError names any missing one."""
+    if case_id not in _CASE_PARAMS:
+        raise ValueError(f"no closed-form case {case_id!r}")
+    missing = [name for name in _CASE_PARAMS[case_id] if name not in params]
+    if missing:
+        raise ValueError(f"case {case_id} needs "
+                         + ", ".join(f"--{name}" for name in missing))
+    return [params[name] for name in _CASE_PARAMS[case_id]]
+
+
 def build_case_system(case_id, params):
     """Deterministic system for the cases with closed-form generators."""
+    args = _case_args(case_id, params)
     if case_id == "1.4":
-        return system_case_1_4(params["p"])
+        return system_case_1_4(*args)
     if case_id == "1.5":
-        return system_case_1_5(params["q"])
-    if case_id in ("1.6", "1.7"):
-        return two_wing_structure(case_id, params["p"], params["q"],
-                                  params["r"], params["s"]).system
-    raise ValueError(f"no closed-form case {case_id!r}")
+        return system_case_1_5(*args)
+    return two_wing_structure(case_id, *args).system
 
 
 def closed_form_generators(case_id, params):
@@ -348,9 +337,7 @@ def closed_form_generators(case_id, params):
                 SemigroupTriple(1, 1, u("D3")), SemigroupTriple(2, 0, u("D4")),
                 SemigroupTriple(0, 2, u(last))]
         return sorted(gens, key=SemigroupTriple.key)
-    if case_id not in ("1.6", "1.7"):
-        raise ValueError(f"no closed-form case {case_id!r}")
-    tw = two_wing_structure(case_id, params["p"], params["q"], params["r"], params["s"])
+    tw = two_wing_structure(case_id, *_case_args(case_id, params))
     gens = []
     for i in range(1, tw.r1 + 2):
         gens.append(SemigroupTriple(i, 0, tw.tilde(1, 2 * i)))
@@ -406,7 +393,7 @@ def witness_decomposition(case_id, params, gamma_coords):
     """
     if case_id in ("1.4", "1.5"):
         return _witness_14(case_id, params, gamma_coords)
-    tw = two_wing_structure(case_id, params["p"], params["q"], params["r"], params["s"])
+    tw = two_wing_structure(case_id, *_case_args(case_id, params))
     sys_ = tw.system
     names = sys_.sigma_names
     lat = lattice(sys_)

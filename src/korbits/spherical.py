@@ -63,9 +63,6 @@ class SphericalSystem:
             v[self.color_index(name)] += 1
         return tuple(v)
 
-    def sigma_row(self, i):
-        return self.sigma_in_colors[i]
-
     def with_designated(self, d1, d2):
         return replace(self, designated=(d1, d2))
 

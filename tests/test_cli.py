@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from korbits.cli import main
 
 
@@ -42,6 +44,12 @@ def test_orbits_tsv(tmp_path):
     assert len(lines) == 7  # header + 6 orbit rows
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_orbits_rejects_cap_below_one(cap, capsys):
+    assert main(["orbits", "A:5:p=2", "--max-params", cap]) == 2
+    assert "--max-params must be at least 1" in capsys.readouterr().err
+
+
 def test_triple_command(tmp_path):
     code, text = run_cli(["triple", "A:3:p=2/1.1/r=1"], tmp_path)
     assert code == 0
@@ -67,6 +75,16 @@ def test_semigroup_16(tmp_path):
 
 def test_semigroup_unknown_case():
     assert main(["semigroup", "9.9"]) == 2
+
+
+def test_semigroup_missing_params(capsys):
+    assert main(["semigroup", "1.6", "--p", "5"]) == 2
+    assert "case 1.6 needs --q, --r, --s" in capsys.readouterr().err
+
+
+def test_normality_missing_params(capsys):
+    assert main(["normality", "1.4", "--q", "5"]) == 2
+    assert "case 1.4 needs --p" in capsys.readouterr().err
 
 
 def test_normality_command(tmp_path):

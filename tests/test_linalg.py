@@ -1,6 +1,41 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from korbits import linalg
+
+PRIME = (1 << 61) - 1
+
+
+def reference_rref(rows):
+    """Textbook Gauss-Jordan over Fraction: (nonzero rref rows, pivots)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+@st.composite
+def matrices(draw, entries=st.integers(-3, 3)):
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=6))
+    # Combinations of two rows make rank deficiency common.
+    for a, b in draw(st.lists(st.tuples(entries, entries), max_size=2)):
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    return rows
 
 
 def test_rank_small():
@@ -40,3 +75,46 @@ def test_simplex_rational():
     # max y s.t. 2y <= 1
     status, val = linalg.simplex_max([[0, 2]], [1], [0, 1])
     assert status == "optimal" and val == Fraction(1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_echelon_matches_fraction_reference(rows):
+    red, pivots, d = linalg.echelon(rows)
+    ref, ref_pivots = reference_rref(rows)
+    assert pivots == ref_pivots
+    assert d > 0
+    assert [[Fraction(x, d) for x in row] for row in red] == ref
+    assert linalg.rank(rows) == len(ref_pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rank_mod_p_at_most_rank_over_q(rows):
+    rank_q = linalg.rank(rows)
+    for p in (3, PRIME):
+        red, pivots, d = linalg.echelon(rows, p)
+        assert d == 1 and all(row[c] == 1 for row, c in zip(red, pivots))
+        assert linalg.rank(rows, p) == len(pivots) <= rank_q
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(st.fractions(-3, 3, max_denominator=4)), st.data())
+def test_solve_matches_fraction_reference(columns, data):
+    nrows = len(columns[0])
+    if data.draw(st.booleans()):
+        b = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4),
+                               min_size=nrows, max_size=nrows))
+    else:
+        x = data.draw(st.lists(st.integers(-2, 2), min_size=len(columns),
+                               max_size=len(columns)))
+        b = [sum(xj * col[i] for xj, col in zip(x, columns)) for i in range(nrows)]
+    aug = [[col[i] for col in columns] + [b[i]] for i in range(nrows)]
+    ref, pivots = reference_rref(aug)
+    if len(columns) in pivots:
+        expected = None
+    else:
+        expected = [Fraction(0)] * len(columns)
+        for row, c in zip(ref, pivots):
+            expected[c] = row[-1]
+    assert linalg.solve(columns, b) == expected

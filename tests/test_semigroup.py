@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from korbits import linalg
 from korbits import semigroup as sg
 from korbits import spherical as sp
 
@@ -40,6 +41,14 @@ def test_leq_antisymmetry_case14(d, e):
         assert d == e
 
 
+def fraction_nsigma(system, vec):
+    """Oracle for nsigma_coords: the exact Fraction solve of the embedding."""
+    sol = linalg.solve(system.sigma_in_colors, vec)
+    if sol is None or any(x.denominator != 1 or x < 0 for x in sol):
+        return None
+    return tuple(int(x) for x in sol)
+
+
 def test_leq_partial_order_every_encoded_system():
     rng = random.Random(17)
     systems = [AX, S14, sp.system_case_1_5(5), sp.system_ay_a_ay(1, 1, 1),
@@ -47,6 +56,15 @@ def test_leq_partial_order_every_encoded_system():
                sp.system_case_1_7(3, 4, 0, 1)]
     for system in systems:
         ncol = len(system.colors)
+        lat = sg.lattice(system)
+        queries = [tuple(rng.randint(-2, 2) for _ in range(ncol)) for _ in range(100)]
+        for _ in range(100):
+            v = lat.colors_of([rng.randint(-1, 3) for _ in range(lat.k)])
+            queries.append(v)
+            if all(x % 2 == 0 for x in v):
+                queries.append(tuple(x // 2 for x in v))
+        for v in queries:
+            assert lat.nsigma_coords(v) == fraction_nsigma(system, v), (system.name, v)
         vecs = [tuple(rng.randint(0, 2) for _ in range(ncol)) for _ in range(30)]
         for d in vecs:
             assert sg.leq_sigma(system, d, d)
