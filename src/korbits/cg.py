@@ -313,3 +313,32 @@ def verify_gamma_product(m, n):
         if not found:
             missing.append(k)
     return {"ok": not missing, "missing": missing}
+
+
+def section_sweep(top):
+    """Gamma(m) . Gamma(n) = Gamma(m + n) for every pair of tensor-semigroup
+    triples with entries <= top, and the degenerate triples (k, m, n): k in
+    Gamma(m + n), componentwise in T, yet not inside the product V(m) . V(n).
+
+    Returns {tensor_semigroup_size, ok, failures, degenerate}, the data of
+    the `cg-verify` report.
+    """
+    triples = [TTriple(a, b, c)
+               for a in range(top + 1) for b in range(top + 1) for c in range(top + 1)
+               if in_tensor_semigroup((a, b, c))]
+    failures, degenerate = [], []
+    for m in triples:
+        for n in triples:
+            res = verify_gamma_product(m, n)
+            if not res["ok"]:
+                failures.append([m.entries(), n.entries(),
+                                 [t.entries() for t in res["missing"]]])
+            for k in gamma_module(m + n):
+                comp_t = all(in_tensor_semigroup((a, b, c)) for a, b, c in
+                             zip(m.entries(), n.entries(), k.entries()))
+                if comp_t and not product_contains(k, m, n):
+                    degenerate.append([list(k.entries()), list(m.entries()),
+                                       list(n.entries())])
+    degenerate.sort()
+    return {"tensor_semigroup_size": len(triples), "ok": not failures,
+            "failures": failures, "degenerate": degenerate}

@@ -59,31 +59,12 @@ def _cmd_pairs(args):
     return 0
 
 
-def _orbit_row(rec):
-    triple = orbits.build_triple(rec)
-    checks = orbits.verify_triple(triple)
-    dim_ke, dim_orbit = orbits.centralizer_dim(triple)
-    bic = orbits.bicone_witness(triple)
-    jordan_ok = orbits.jordan_type(triple.e) == orbits.partition_from_signed(rec)
-    row = {
-        "orbit": rec.orbit_id(),
-        "signed_partition": [[a, sg, m] for a, sg, m in rec.signed_partition()],
-        "sl2_ok": all(checks.values()),
-        "jordan_ok": jordan_ok,
-        "spherical": orbits.is_spherical(triple),
-        "dim_K_e": dim_ke,
-        "dim_orbit": dim_orbit,
-        "ht_p": orbits.p_height(triple),
-        "bicone_both_nonzero": bic["both_components_nonzero"],
-        "chi_charges": list(bic["chi_charges"]),
-    }
-    return row
-
-
 def _cmd_orbits(args):
     pair = parse_pair_key(args.pair)
-    rows = [_orbit_row(rec) for rec in orbits.list_orbits(pair, args.max_params)]
-    ok = all(r["sl2_ok"] and r["jordan_ok"] and r["spherical"] for r in rows)
+    checked = [orbits.verify_orbit(orbits.build_triple(rec))
+               for rec in orbits.list_orbits(pair, args.max_params)]
+    rows = [row for row, _ in checked]
+    ok = all(good for _, good in checked)
     tsv = [["orbit", "signed_partition", "ht_p", "codim", "sl2_ok", "spherical"]] + [
         [r["orbit"],
          "".join(f"({sg}{a}^{m})" for a, sg, m in
@@ -166,27 +147,9 @@ def _cmd_cg_verify(args):
     top = args.max_entry if args.max_entry is not None else args.max_entry_flag
     if top is None:
         raise SystemExit("error: cg-verify needs a maximum entry (positional or --max-entry)")
-    triples = [cg.TTriple(a, b, c)
-               for a in range(top + 1) for b in range(top + 1) for c in range(top + 1)
-               if cg.in_tensor_semigroup((a, b, c))]
-    failures, degenerate = [], []
-    for m in triples:
-        for n in triples:
-            res = cg.verify_gamma_product(m, n)
-            if not res["ok"]:
-                failures.append([m.entries(), n.entries(),
-                                 [t.entries() for t in res["missing"]]])
-            for k in cg.gamma_module(m + n):
-                comp_t = all(cg.in_tensor_semigroup((a, b, c)) for a, b, c in
-                             zip(m.entries(), n.entries(), k.entries()))
-                if comp_t and not cg.product_contains(k, m, n):
-                    degenerate.append([list(k.entries()), list(m.entries()),
-                                       list(n.entries())])
-    degenerate.sort()
-    data = {"tensor_semigroup_size": len(triples), "ok": not failures,
-            "failures": failures, "degenerate": degenerate}
+    data = cg.section_sweep(top)
     _emit(_report("cg-verify", {"max_entry": top}, data), args.format, args.out)
-    return 0 if not failures else 1
+    return 0 if data["ok"] else 1
 
 
 def _cmd_report_all(args):
@@ -194,9 +157,10 @@ def _cmd_report_all(args):
     sections = {}
     for t, n in (("A", 4), ("B", 3), ("C", 2), ("D", 5)):
         for spec in enumerate_pairs(t, n):
-            rows = [_orbit_row(rec) for rec in orbits.list_orbits(spec)]
-            sections[f"orbits/{spec.key()}"] = rows
-            if not all(r["sl2_ok"] and r["jordan_ok"] and r["spherical"] for r in rows):
+            checked = [orbits.verify_orbit(orbits.build_triple(rec))
+                       for rec in orbits.list_orbits(spec)]
+            sections[f"orbits/{spec.key()}"] = [row for row, _ in checked]
+            if not all(ok for _, ok in checked):
                 status = 1
     for case, params in (("1.4", {"p": 5}), ("1.5", {"q": 5}),
                          ("1.6", {"p": 4, "q": 4, "r": 1, "s": 1}),
@@ -214,6 +178,19 @@ def _cmd_report_all(args):
     _emit(_report("report-all", {"max_degree": args.max_degree}, sections),
           args.format, args.out)
     return status
+
+
+def _int_at_least(low):
+    """argparse type: an int no smaller than low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def build_parser():
@@ -250,7 +227,7 @@ def build_parser():
 
     p = sub.add_parser("semigroup", help="weight-semigroup generators of a case")
     case_args(p)
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_int_at_least(1), default=4)
     p.set_defaults(func=_cmd_semigroup)
 
     p = sub.add_parser("normality", help="minuscule test of the designated colors")
@@ -259,13 +236,13 @@ def build_parser():
     p.set_defaults(func=_cmd_normality)
 
     p = sub.add_parser("cg-verify", help="section-multiplication sweep for SL(2)^3")
-    p.add_argument("max_entry", type=int, nargs="?", default=None)
-    p.add_argument("--max-entry", type=int, dest="max_entry_flag", default=None)
+    p.add_argument("max_entry", type=_int_at_least(0), nargs="?", default=None)
+    p.add_argument("--max-entry", type=_int_at_least(0), dest="max_entry_flag", default=None)
     common(p)
     p.set_defaults(func=_cmd_cg_verify)
 
     p = sub.add_parser("report-all", help="run every verification suite at small size")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_int_at_least(1), default=4)
     common(p)
     p.set_defaults(func=_cmd_report_all)
     return ap

@@ -15,8 +15,10 @@ Matrix conventions per family (all bases ordered as in the case formulas):
   and phi_a ^ phi_b -> E_ba - E_ab; the listed sums always produce integer
   matrices.
 
-The central cocharacter zeta (= m omega_p^vee as a matrix) acts with
-eigenvalues +m on p1 and -m on p2, which is how p-elements are split.
+The central cocharacter zeta (= m omega_p^vee, kept as its diagonal) acts
+with eigenvalues +m on p1 and -m on p2, which is how p-elements are split.
+h is diagonal too, so every ad(h) and ad(zeta) bracket is read off the
+diagonals with `diagonal_weights`.
 """
 
 from __future__ import annotations
@@ -101,6 +103,27 @@ def _madd(acc, m, c=1):
     return acc
 
 
+def _diagonal_matrix(d):
+    """The diagonal matrix with diagonal d."""
+    return [[v if i == j else 0 for j in range(len(d))] for i, v in enumerate(d)]
+
+
+def diagonal_weights(d, x):
+    """{d_i - d_j : x_ij != 0} for the diagonal d of a diagonal matrix D.
+
+    ad(D) x has entries (d_i - d_j) x_ij, so these are the ad(D)-weights
+    of the parts of x, and x is an ad(D)-eigenvector iff there is one.
+    """
+    return {d[i] - d[j] for i, row in enumerate(x) for j, v in enumerate(row) if v}
+
+
+def _diagonal(h):
+    """The diagonal of h; ValueError if h has an off-diagonal entry."""
+    if any(v for i, row in enumerate(h) for j, v in enumerate(row) if i != j):
+        raise ValueError("h is not diagonal")
+    return [row[i] for i, row in enumerate(h)]
+
+
 # ---------------------------------------------------------------------------
 # Realizations
 
@@ -119,6 +142,11 @@ class Realization:
         else:
             self._init_gl_block()
         self.k_dim = len(self.k_basis)
+        # p-basis elements have pairwise disjoint supports, so each
+        # coordinate is read off at the first nonzero entry of its element.
+        self._anchors = [next((i, j, v) for i, row in enumerate(b)
+                              for j, v in enumerate(row) if v)
+                         for b in self.p_basis]
 
     # --- SL(p+q) -----------------------------------------------------------
     def _init_slpq(self):
@@ -148,11 +176,7 @@ class Realization:
                         + [_unit(n, p + b, a) for a in range(p) for b in range(q)])
         # zeta = m * omega_p^vee: integral because m clears the denominators.
         assert (self.spec.m * q) % n == 0 and (self.spec.m * p) % n == 0
-        self.zeta = [[0] * n for _ in range(n)]
-        for i in range(p):
-            self.zeta[i][i] = self.spec.m * q // n
-        for i in range(p, n):
-            self.zeta[i][i] = -self.spec.m * p // n
+        self.zeta = (self.spec.m * q // n,) * p + (-self.spec.m * p // n,) * q
 
     # --- SO(2n+1) and SO(2n), vector cases ----------------------------------
     def _init_so_vector(self):
@@ -184,8 +208,7 @@ class Realization:
         self.plus_basis = plus
         self.minus_basis = minus
         self.p_basis = [self.p_elem({lab: 1}, s) for s in (-1, 1) for lab in labels]
-        m = self.spec.m
-        self.zeta = _madd(_unit(self.dim, nv, nv, m), _unit(self.dim, nv + 1, nv + 1), -m)
+        self.zeta = (0,) * nv + (self.spec.m, -self.spec.m)
 
     def p_elem(self, coeffs, w_label):
         """Element sum_a c_a e_a (x) phi'_{w_label} of p, as a matrix."""
@@ -229,10 +252,7 @@ class Realization:
                     pb.append(self._embed(blk, upper=upper))
         self.p_basis = pb
         half = self.spec.m // 2  # ad(zeta) = +-m on the S/T blocks
-        self.zeta = [[0] * self.dim for _ in range(self.dim)]
-        for i in range(n):
-            self.zeta[i][i] = half
-            self.zeta[n + i][n + i] = -half
+        self.zeta = (half,) * n + (-half,) * n
 
     def _embed(self, block, upper):
         m = [[0] * self.dim for _ in range(self.dim)]
@@ -244,17 +264,6 @@ class Realization:
                         m[i][n + j] = block[i][j]
                     else:
                         m[n + i][j] = block[i][j]
-        return m
-
-    def embed_k(self, a_block):
-        """gl-type embedding A -> diag(A, -A^t); SL case: plain block diag."""
-        n = self.n
-        m = [[0] * self.dim for _ in range(self.dim)]
-        for i in range(n):
-            for j in range(n):
-                if a_block[i][j]:
-                    m[i][j] = a_block[i][j]
-                    m[n + j][n + i] = -a_block[i][j]
         return m
 
     # --- structural membership ------------------------------------------------
@@ -288,57 +297,22 @@ class Realization:
                     return False
         return True
 
-    def _block_split(self, x):
-        """(diagonal-block part, off-block part) w.r.t. the k/p splitting."""
-        if self.family == SLPQ:
-            p, _ = self.spec.pq
-            cut = lambda i, j: (i < p) == (j < p)
-        elif self.family in (SO_ODD, SO_EVEN_VECTOR):
-            nv = self.nv
-            cut = lambda i, j: (i < nv) == (j < nv)
-        else:
-            n = self.n
-            cut = lambda i, j: (i < n) == (j < n)
-        diag = [[x[i][j] if cut(i, j) else 0 for j in range(self.dim)] for i in range(self.dim)]
-        off = [[x[i][j] if not cut(i, j) else 0 for j in range(self.dim)] for i in range(self.dim)]
-        return diag, off
-
     def in_k(self, x):
-        diag, off = self._block_split(x)
-        return self.in_g(x) and is_zero_matrix(off)
+        """x lies in g and ad(zeta) kills it."""
+        return self.in_g(x) and diagonal_weights(self.zeta, x) <= {0}
 
     def in_p(self, x):
-        diag, off = self._block_split(x)
-        return self.in_g(x) and is_zero_matrix(diag)
-
-    def split_p(self, x):
-        """Split a p-element into its (p1, p2) components via ad(zeta)."""
+        """x lies in g and ad(zeta) acts on it by +-m."""
         m = self.spec.m
-        zx = commutator(self.zeta, x)
-        x1 = [[Fraction(zx[i][j] + m * x[i][j], 2 * m) for j in range(self.dim)]
-              for i in range(self.dim)]
-        x2 = mat_sub(x, x1)
-        assert is_zero_matrix(mat_sub(commutator(self.zeta, x1), mat_scale(x1, m)))
-        assert is_zero_matrix(mat_sub(commutator(self.zeta, x2), mat_scale(x2, -m)))
-        return x1, x2
+        return self.in_g(x) and diagonal_weights(self.zeta, x) <= {m, -m}
 
     def p_coords(self, x):
-        """Coordinates of a p-element in the p-basis.
-
-        Basis elements have pairwise disjoint supports, so each coordinate
-        is read off at an anchor entry; correctness is re-checked in the
-        test suite by reconstructing the matrix.
+        """Coordinates of a p-element in the p-basis, read off at the anchor
+        entries; correctness is re-checked in the test suite by
+        reconstructing the matrix.
         """
-        anchors = getattr(self, "_anchors", None)
-        if anchors is None:
-            anchors = []
-            for b in self.p_basis:
-                i, j = next((i, j) for i in range(self.dim)
-                            for j in range(self.dim) if b[i][j])
-                anchors.append((i, j, b[i][j]))
-            self._anchors = anchors
         return tuple(Fraction(x[i][j], v) if x[i][j] % v else x[i][j] // v
-                     for i, j, v in anchors)
+                     for i, j, v in self._anchors)
 
 
 _REALIZATIONS = {}
@@ -655,12 +629,7 @@ def _build_slpq(rec, real):
         hw[q - 1] = -2
     else:
         raise ValueError(f"unknown case {case}")
-    h = [[0] * n for _ in range(n)]
-    for i in range(p):
-        h[i][i] = hv[i]
-    for j in range(q):
-        h[p + j][p + j] = hw[j]
-    return h, e, f
+    return _diagonal_matrix(hv + hw), e, f
 
 
 def _build_so_vector(rec, real):
@@ -693,12 +662,7 @@ def _build_so_vector(rec, real):
         f = mat_scale(mat_sub(pe({-2: 1}, -1), pe({-1: 1}, 1)), 2)
         hv = {1: 2, 2: 2, -1: -2, -2: -2}
         hw = (0, 0)
-    h = [[0] * real.dim for _ in range(real.dim)]
-    for lab, c in hv.items():
-        h[real.v_pos[lab]][real.v_pos[lab]] = c
-    h[real.nv][real.nv] = hw[0]
-    h[real.nv + 1][real.nv + 1] = hw[1]
-    return h, e, f
+    return _diagonal_matrix([hv.get(lab, 0) for lab in real.v_labels] + list(hw)), e, f
 
 
 def _sym_terms(n, pairs):
@@ -787,11 +751,7 @@ def _build_gl_block(rec, real):
         hdiag[n - 1] = -2
     else:
         raise ValueError(f"unknown case {case}")
-    ab = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ab[i][i] = hdiag[i]
-    h = real.embed_k(ab)
-    return h, e, f
+    return _diagonal_matrix(hdiag + [-x for x in hdiag]), e, f
 
 
 def _validate_params(rec):
@@ -860,25 +820,19 @@ def verify_triple(triple):
 
 
 def adh_grading(triple):
-    """dim of each ad(h)-eigenspace on k, as {eigenvalue: dimension}."""
-    real = triple.realization
+    """dim of each ad(h)-eigenspace on k, as {eigenvalue: dimension}.
+
+    ValueError if h is not diagonal or a k-basis element is not an
+    ad(h)-eigenvector.
+    """
+    d = _diagonal(triple.h)
     out = {}
-    for x in real.k_basis:
-        c = commutator(triple.h, x)
-        lam = None
-        for i in range(real.dim):
-            for j in range(real.dim):
-                if x[i][j]:
-                    cand = Fraction(c[i][j], x[i][j])
-                    if lam is None:
-                        lam = cand
-                    elif lam != cand:
-                        raise ValueError("h is not diagonal on the k-basis")
-                elif c[i][j]:
-                    raise ValueError("h is not diagonal on the k-basis")
-        if lam.denominator != 1:
-            raise ValueError("non-integer ad(h) eigenvalue")
-        out[int(lam)] = out.get(int(lam), 0) + 1
+    for x in triple.realization.k_basis:
+        weights = diagonal_weights(d, x)
+        if len(weights) != 1:
+            raise ValueError("a k-basis element is not an ad(h)-eigenvector")
+        lam, = weights
+        out[lam] = out.get(lam, 0) + 1
     return out
 
 
@@ -939,7 +893,6 @@ def _generic_borel_rank_modp(triple, rng, p):
 
 
 def _modp_p_coords(real, x, p):
-    real.p_coords(real.p_basis[0])  # ensure anchors exist
     return [x[i][j] * v % p if v in (1, -1) else x[i][j] * pow(v % p, p - 2, p) % p
             for i, j, v in real._anchors]
 
@@ -959,9 +912,13 @@ def is_spherical(triple):
     points reached dim Kx, which for a spherical orbit happens only if every
     point lands on the proper closed subset where the rank mod p drops.
     """
-    _, orbit = centralizer_dim(triple)
+    return _borel_orbit_open(triple, centralizer_dim(triple)[1])
+
+
+def _borel_orbit_open(triple, dim_orbit):
+    """is_spherical given dim Kx = dim_orbit."""
     rng = random.Random(0x5EED)
-    return any(_generic_borel_rank_modp(triple, rng, _TRIAL_PRIME) == orbit
+    return any(_generic_borel_rank_modp(triple, rng, _TRIAL_PRIME) == dim_orbit
                for _ in range(_TRIALS))
 
 
@@ -1009,19 +966,46 @@ def bicone_witness(triple):
     """Lie-level bicone data: h-weight 2 and central charges (+m, -m)."""
     real = triple.realization
     m = real.spec.m
-    e1, e2 = real.split_p(triple.e)
-    charges = []
-    for comp, sign in ((e1, 1), (e2, -1)):
-        if is_zero_matrix(comp):
-            charges.append(None)
-        else:
-            charges.append(sign * m)
-    ad_ok = is_zero_matrix(mat_sub(commutator(triple.h, triple.e), mat_scale(triple.e, 2)))
+    zeta_weights = diagonal_weights(real.zeta, triple.e)
+    charges = tuple(c if c in zeta_weights else None for c in (m, -m))
     return {
-        "h_weight_on_e": 2 if ad_ok else None,
-        "chi_charges": tuple(charges),
-        "both_components_nonzero": charges[0] is not None and charges[1] is not None,
+        "h_weight_on_e": 2 if diagonal_weights(_diagonal(triple.h), triple.e) <= {2} else None,
+        "chi_charges": charges,
+        "both_components_nonzero": None not in charges,
     }
+
+
+def verify_orbit(triple):
+    """Every check of one orbit representative, as (report row, verdict).
+
+    The verdict holds when the row's checks pass and its invariants match
+    the case formulas: ht_p = expected_p_height, dim L = dim k_0 (the
+    ad(h)-degree-0 part) and dim K_e = dim L_e + dim Q^u - deficit, where
+    Q^u is the sum of the positive ad(h)-eigenspaces on k.
+    """
+    rec = triple.record
+    dim_ke, dim_orbit = centralizer_dim(triple)
+    bicone = bicone_witness(triple)
+    row = {
+        "orbit": rec.orbit_id(),
+        "signed_partition": [[a, sg, m] for a, sg, m in rec.signed_partition()],
+        "sl2_ok": all(verify_triple(triple).values()),
+        "jordan_ok": jordan_type(triple.e) == partition_from_signed(rec),
+        "spherical": _borel_orbit_open(triple, dim_orbit),
+        "dim_K_e": dim_ke,
+        "dim_orbit": dim_orbit,
+        "ht_p": p_height(triple),
+        "bicone_both_nonzero": bicone["both_components_nonzero"],
+        "chi_charges": list(bicone["chi_charges"]),
+    }
+    grading = adh_grading(triple)
+    dim_l, dim_le, deficit = expected_dims(rec)
+    dim_qu = sum(d for lam, d in grading.items() if lam > 0)
+    ok = (row["sl2_ok"] and row["jordan_ok"] and row["spherical"]
+          and row["ht_p"] == expected_p_height(rec)
+          and grading.get(0) == dim_l
+          and dim_ke == dim_le + dim_qu - deficit)
+    return row, ok
 
 
 def triple_to_json(triple):

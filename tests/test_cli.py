@@ -1,10 +1,14 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from korbits import orbits
 from korbits.cli import main
+
+REPORT_ALL_SHA256 = "82321344592a3466aa7af541c10c963afde0babea13b781456770f97d54c5439"
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -42,6 +46,36 @@ def test_orbits_tsv(tmp_path):
     lines = text.strip().split("\n")
     assert lines[0].split("\t")[0] == "orbit"
     assert len(lines) == 7  # header + 6 orbit rows
+
+
+@pytest.mark.parametrize("pair, fmt, digest", [
+    ("A:5:p=2", "json", "f02739db4171a4ba142dac14c574b91c3acfad358c34e0688ac9f7e03bc0e4cf"),
+    ("A:5:p=2", "tsv", "89e9329790264764549fa8fd875a81a55d50a0ed93cc434cd5aa076877f7eb9b"),
+    ("B:4", "json", "260fa68d2ce546b90bae0cb9a61e212faf9cb98885571c28d05e1a4918205af6"),
+    ("B:4", "tsv", "ecd377c2609fab4439f054d5a2cc8dc567e10cd44a13e28f2615423b75926cba"),
+    ("C:5", "json", "e606ae5cbf6936866c50d48b8a700c7ed28a0d0e3f56c616261431020f4cc2e9"),
+    ("C:5", "tsv", "a0e67ec3360c44b997827006aa48dfe5838428b7e2a4d2d34eb38fb76d0dbd54"),
+    ("D:6:p=6", "json", "7c7d0e7749521adc248f3a96cfcc79a5687915089f61d8ec0eaa247c0a517263"),
+    ("D:6:p=6", "tsv", "9c8c47c5966dde020475328c5fee9c8620a7b9f76815ca94ec91548fe7c3223b"),
+])
+def test_orbits_golden_output(pair, fmt, digest, tmp_path):
+    code, text = run_cli(["orbits", pair, "--format", fmt], tmp_path)
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_orbits_computes_each_centralizer_once(monkeypatch, tmp_path):
+    calls = []
+    centralizer_dim = orbits.centralizer_dim
+
+    def counting(triple):
+        calls.append(triple.record)
+        return centralizer_dim(triple)
+
+    monkeypatch.setattr(orbits, "centralizer_dim", counting)
+    code, _ = run_cli(["orbits", "B:4"], tmp_path)
+    assert code == 0
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -121,6 +155,19 @@ def test_report_all(tmp_path):
     assert "semigroup/1.4" in doc["data"]
     assert doc["data"]["semigroup/1.6"]["match"]
     assert any(k.startswith("orbits/") for k in doc["data"])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_ALL_SHA256
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["cg-verify", "-1"], "max_entry"),
+    (["cg-verify", "--max-entry", "-3"], "--max-entry"),
+    (["semigroup", "1.4", "--p", "5", "--max-degree", "0"], "--max-degree"),
+    (["report-all", "--max-degree", "0"], "--max-degree"),
+    (["report-all", "--max-degree", "-1"], "--max-degree"),
+])
+def test_rejects_bound_below_minimum(argv, name, capsys):
+    assert main(argv) == 2
+    assert f"argument {name}: must be at least" in capsys.readouterr().err
 
 
 def test_module_entrypoint_runs():

@@ -2,6 +2,7 @@ import pytest
 
 from korbits import orbits as ob
 from korbits.hermitian import parse_pair_key
+from korbits import linalg
 from korbits.linalg import is_zero_matrix, mat_sub
 
 
@@ -74,6 +75,35 @@ def test_adh_grading_examples():
     assert set(g23) == {0}  # K_h = K
     g14 = ob.adh_grading(ob.build_triple(rec("A:5:p=4", "1.4")))
     assert all(i % 2 == 0 and -4 <= i <= 4 for i in g14)
+
+
+def test_adh_grading_rejects_non_diagonal_h():
+    t = ob.build_triple(rec("A:3:p=2", "1.1", (("r", 1),)))
+    with pytest.raises(ValueError, match="h is not diagonal"):
+        ob.adh_grading(ob.MatrixTriple(t.e, t.e, t.f, t.record))
+    # diagonal, but not in the Cartan of so(7): E_{v1,v1} splits the
+    # k-basis element E_{v1,b} - E_{b',v1'} into two ad(h)-weights.
+    b3 = ob.build_triple(rec("B:3", "2.2"))
+    h = [[0] * b3.realization.dim for _ in range(b3.realization.dim)]
+    h[0][0] = 1
+    with pytest.raises(ValueError, match="not an ad\\(h\\)-eigenvector"):
+        ob.adh_grading(ob.MatrixTriple(tuple(map(tuple, h)), b3.e, b3.f, b3.record))
+
+
+def test_k_p_membership():
+    for key, case, params, variant in (("A:5:p=3", "1.3", (("r", 1), ("s", 1)), ""),
+                                       ("B:4", "2.1", (), "I"),
+                                       ("D:5:p=1", "4.4", (), ""),
+                                       ("C:3", "3.3", (("r", 1), ("s", 1)), ""),
+                                       ("D:6:p=6", "5.4", (), "")):
+        t = ob.build_triple(rec(key, case, params, variant))
+        real = t.realization
+        assert real.in_k(t.h) and not real.in_p(t.h)
+        assert real.in_p(t.e) and not real.in_k(t.e)
+        assert real.in_p(t.f) and not real.in_k(t.f)
+        mixed = linalg.mat_add(t.h, t.e)
+        assert real.in_g(mixed)
+        assert not real.in_k(mixed) and not real.in_p(mixed)
 
 
 def test_adh_grading_symmetry_and_total():
@@ -172,6 +202,17 @@ def test_bicone_witness_cases():
     deg = ob.bicone_witness(ob.build_triple(rec("B:3", "2.2")))
     assert deg["both_components_nonzero"]
     assert deg["h_weight_on_e"] == 2
+
+
+def test_verify_orbit_checks_invariants_against_the_record():
+    t = ob.build_triple(rec("A:5:p=4", "1.1", (("r", 1),)))
+    row, ok = ob.verify_orbit(t)
+    assert ok and row["ht_p"] == 2
+    # the same height-2 element filed under the height-3 case 1.4
+    wrong = ob.MatrixTriple(t.h, t.e, t.f, rec("A:5:p=4", "1.4"))
+    row, ok = ob.verify_orbit(wrong)
+    assert not ok
+    assert row["sl2_ok"] and row["ht_p"] == 2 != ob.expected_p_height(wrong.record)
 
 
 def test_jordan_types_match_signed_partitions():
