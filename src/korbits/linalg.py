@@ -28,20 +28,12 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
-
-
 def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
 
 
 def echelon(rows, p=None):

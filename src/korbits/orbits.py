@@ -19,6 +19,11 @@ The central cocharacter zeta (= m omega_p^vee, kept as its diagonal) acts
 with eigenvalues +m on p1 and -m on p2, which is how p-elements are split.
 h is diagonal too, so every ad(h) and ad(zeta) bracket is read off the
 diagonals with `diagonal_weights`.
+
+Every k-, p- and Borel-basis element is a matrix unit or a signed pair of
+them, so the verification kernels work on a sparse form, a dict
+{(i, j): v} of the nonzero entries, and every product goes through `_mul`.
+`MatrixTriple` keeps dense matrices; each kernel converts h, e and f once.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from fractions import Fraction
 from . import linalg
 from .hermitian import (SLPQ, SO_EVEN_GL, SO_EVEN_VECTOR, SO_ODD, SP,
                         SymmetricPairSpec, parse_pair_key)
-from .linalg import commutator, is_zero_matrix, mat_mul, mat_scale, mat_sub
 
 
 @dataclass(frozen=True)
@@ -75,8 +79,12 @@ def parse_orbit_id(orbit_id):
     case_id = parts[1]
     params = ()
     if parts[2]:
-        params = tuple((k, int(v)) for k, v in
-                       (chunk.split("=") for chunk in parts[2].split(",")))
+        try:
+            params = tuple((k, int(v)) for k, v in
+                           (chunk.split("=") for chunk in parts[2].split(",")))
+        except ValueError:
+            raise ValueError(f"bad orbit id {orbit_id!r}: parameters must read "
+                             "name=int,...") from None
     variant = parts[3] if len(parts) == 4 else ""
     rec = OrbitRecord(pair, case_id, params, variant)
     if rec not in list_orbits(pair):
@@ -84,37 +92,56 @@ def parse_orbit_id(orbit_id):
     return rec
 
 
-def _freeze(m):
-    assert all(x == int(x) for row in m for x in row)
-    return tuple(tuple(int(x) for x in row) for row in m)
+def _dense(x, n):
+    """The n x n matrix, as nested tuples, with the entries of the sparse x."""
+    return tuple(tuple(x.get((i, j), 0) for j in range(n)) for i in range(n))
 
 
-def _unit(n, a, b, c=1):
-    m = [[0] * n for _ in range(n)]
-    m[a][b] = c
-    return m
+def _sparse(m):
+    """The nonzero entries {(i, j): v} of a dense matrix."""
+    return {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
 
 
-def _madd(acc, m, c=1):
-    for i, row in enumerate(m):
-        for j, x in enumerate(row):
-            if x:
-                acc[i][j] += c * x
-    return acc
+def _reduced(x, p):
+    """x without its zero entries, reduced mod p when p is given."""
+    if p:
+        x = {ij: v % p for ij, v in x.items()}
+    return {ij: v for ij, v in x.items() if v}
 
 
-def _diagonal_matrix(d):
-    """The diagonal matrix with diagonal d."""
-    return [[v if i == j else 0 for j in range(len(d))] for i, v in enumerate(d)]
+def _add(a, b, c=1, p=None):
+    """a + c b for sparse matrices, over Z or over GF(p)."""
+    out = dict(a)
+    for ij, v in b.items():
+        out[ij] = out.get(ij, 0) + c * v
+    return _reduced(out, p)
+
+
+def _mul(a, b, p=None):
+    """The product ab of sparse matrices, over Z or over GF(p)."""
+    rows = {}
+    for (k, j), v in b.items():
+        rows.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), u in a.items():
+        for j, v in rows.get(k, ()):
+            out[i, j] = out.get((i, j), 0) + u * v
+    return _reduced(out, p)
+
+
+def _bracket(a, b, p=None):
+    """[a, b] = ab - ba for sparse matrices, over Z or over GF(p)."""
+    return _add(_mul(a, b, p), _mul(b, a, p), -1, p)
 
 
 def diagonal_weights(d, x):
-    """{d_i - d_j : x_ij != 0} for the diagonal d of a diagonal matrix D.
+    """{d_i - d_j : x_ij != 0} for the diagonal d of a diagonal matrix D
+    and a sparse matrix x.
 
     ad(D) x has entries (d_i - d_j) x_ij, so these are the ad(D)-weights
     of the parts of x, and x is an ad(D)-eigenvector iff there is one.
     """
-    return {d[i] - d[j] for i, row in enumerate(x) for j, v in enumerate(row) if v}
+    return {d[i] - d[j] for i, j in x}
 
 
 def _diagonal(h):
@@ -129,7 +156,8 @@ def _diagonal(h):
 
 
 class Realization:
-    """Concrete matrix model of one Hermitian pair."""
+    """Concrete matrix model of one Hermitian pair; the k-, p-, Borel and
+    big-cell bases are kept in the sparse form."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -142,11 +170,12 @@ class Realization:
         else:
             self._init_gl_block()
         self.k_dim = len(self.k_basis)
-        # p-basis elements have pairwise disjoint supports, so each
-        # coordinate is read off at the first nonzero entry of its element.
-        self._anchors = [next((i, j, v) for i, row in enumerate(b)
-                              for j, v in enumerate(row) if v)
-                         for b in self.p_basis]
+        # p-basis elements have pairwise disjoint supports and entry 1 at
+        # their first nonzero position, so a p-element's entry there is its
+        # coordinate, over Z and over GF(p) alike.
+        anchors = [min(b.items()) for b in self.p_basis]
+        assert all(v == 1 for _, v in anchors)
+        self._anchors = [ij for ij, _ in anchors]
 
     # --- SL(p+q) -----------------------------------------------------------
     def _init_slpq(self):
@@ -159,21 +188,21 @@ class Realization:
             for a in range(lo, hi):
                 for b in range(lo, hi):
                     if a != b:
-                        m = _unit(n, a, b)
+                        m = {(a, b): 1}
                         kb.append(m)
                         (bor if a < b else minus).append(m)
                         if a < b:
                             plus.append(m)
         for i in range(n - 1):
-            m = _madd(_unit(n, i, i), _unit(n, i + 1, i + 1), -1)
+            m = {(i, i): 1, (i + 1, i + 1): -1}
             kb.append(m)
             bor.append(m)
         self.k_basis = kb
         self.borel_basis = bor
         self.plus_basis = plus
         self.minus_basis = minus
-        self.p_basis = ([_unit(n, a, p + b) for a in range(p) for b in range(q)]
-                        + [_unit(n, p + b, a) for a in range(p) for b in range(q)])
+        self.p_basis = ([{(a, p + b): 1} for a in range(p) for b in range(q)]
+                        + [{(p + b, a): 1} for a in range(p) for b in range(q)])
         # zeta = m * omega_p^vee: integral because m clears the denominators.
         assert (self.spec.m * q) % n == 0 and (self.spec.m * p) % n == 0
         self.zeta = (self.spec.m * q // n,) * p + (-self.spec.m * p // n,) * q
@@ -192,7 +221,7 @@ class Realization:
         # so(V) for the antidiagonal Gram: J * (skew matrices).
         for a in range(nv):
             for b in range(a + 1, nv):
-                m = _madd(_unit(self.dim, nv - 1 - a, b), _unit(self.dim, nv - 1 - b, a), -1)
+                m = {(nv - 1 - a, b): 1, (nv - 1 - b, a): -1}
                 kb.append(m)
                 if a + b >= nv - 1:
                     bor.append(m)
@@ -200,7 +229,7 @@ class Realization:
                     plus.append(m)
                 elif a + b < nv - 1:
                     minus.append(m)
-        w = _madd(_unit(self.dim, nv, nv), _unit(self.dim, nv + 1, nv + 1), -1)
+        w = {(nv, nv): 1, (nv + 1, nv + 1): -1}
         kb.append(w)
         bor.append(w)
         self.k_basis = kb
@@ -211,14 +240,15 @@ class Realization:
         self.zeta = (0,) * nv + (self.spec.m, -self.spec.m)
 
     def p_elem(self, coeffs, w_label):
-        """Element sum_a c_a e_a (x) phi'_{w_label} of p, as a matrix."""
+        """Element sum_a c_a e_a (x) phi'_{w_label} of p (every c_a nonzero),
+        as a sparse matrix."""
         nv = self.nv
-        m = [[0] * self.dim for _ in range(self.dim)]
+        m = {}
         wcol = nv if w_label == 1 else nv + 1
         dual_row = nv if w_label == -1 else nv + 1  # beta'-dual of phi'_w is e'_{-w}
         for lab, c in coeffs.items():
-            m[self.v_pos[lab]][wcol] += c
-            m[dual_row][self.v_pos[-lab]] += -c
+            m[self.v_pos[lab], wcol] = c
+            m[dual_row, self.v_pos[-lab]] = -c
         return m
 
     # --- Sp(2n) and SO(2n)/GL(n) ---------------------------------------------
@@ -230,7 +260,7 @@ class Realization:
         kb, bor, plus, minus = [], [], [], []
         for a in range(n):
             for b in range(n):
-                m = _madd(_unit(self.dim, a, b), _unit(self.dim, n + b, n + a), -1)
+                m = {(a, b): 1, (n + b, n + a): -1}
                 kb.append(m)
                 if a <= b:
                     bor.append(m)
@@ -246,25 +276,11 @@ class Realization:
         for upper in (True, False):
             for a in range(n):
                 for b in range(a, n) if sym else range(a + 1, n):
-                    blk = [[0] * n for _ in range(n)]
-                    blk[a][b] += 1
-                    blk[b][a] += (1 if sym else -1) if a != b else 0
-                    pb.append(self._embed(blk, upper=upper))
+                    # E_ab +- E_ba in the block; for a == b, just E_aa
+                    pb.append(_embed({(a, b): 1, (b, a): 1 if sym else -1}, n, upper))
         self.p_basis = pb
         half = self.spec.m // 2  # ad(zeta) = +-m on the S/T blocks
         self.zeta = (half,) * n + (-half,) * n
-
-    def _embed(self, block, upper):
-        m = [[0] * self.dim for _ in range(self.dim)]
-        n = self.n
-        for i in range(n):
-            for j in range(n):
-                if block[i][j]:
-                    if upper:
-                        m[i][n + j] = block[i][j]
-                    else:
-                        m[n + i][j] = block[i][j]
-        return m
 
     # --- structural membership ------------------------------------------------
     def gram(self):
@@ -281,10 +297,10 @@ class Realization:
         if f == SLPQ:
             return sum(x[i][i] for i in range(self.dim)) == 0
         if f in (SO_ODD, SO_EVEN_VECTOR):
-            g = self.gram()
-            return is_zero_matrix([[sum(x[k][i] * g[k][j] + g[i][k] * x[k][j]
-                                        for k in range(self.dim))
-                                    for j in range(self.dim)] for i in range(self.dim)])
+            # x^t G + G x = 0, where the Gram matrix G has one 1 per row, at s(i)
+            s = [row.index(1) for row in self.gram()]
+            return all(x[s[j]][i] == -x[s[i]][j]
+                       for i in range(self.dim) for j in range(self.dim))
         # gl-block families: A-blocks opposite transposes, S/T symmetric or skew
         sgn = 1 if f == SP else -1
         for i in range(n):
@@ -299,20 +315,19 @@ class Realization:
 
     def in_k(self, x):
         """x lies in g and ad(zeta) kills it."""
-        return self.in_g(x) and diagonal_weights(self.zeta, x) <= {0}
+        return self.in_g(x) and diagonal_weights(self.zeta, _sparse(x)) <= {0}
 
     def in_p(self, x):
         """x lies in g and ad(zeta) acts on it by +-m."""
         m = self.spec.m
-        return self.in_g(x) and diagonal_weights(self.zeta, x) <= {m, -m}
+        return self.in_g(x) and diagonal_weights(self.zeta, _sparse(x)) <= {m, -m}
 
     def p_coords(self, x):
-        """Coordinates of a p-element in the p-basis, read off at the anchor
-        entries; correctness is re-checked in the test suite by
-        reconstructing the matrix.
+        """Coordinates of a sparse p-element in the p-basis, read off at the
+        anchor entries (reduced mod p when x is); correctness is re-checked
+        in the test suite by reconstructing the matrix.
         """
-        return tuple(Fraction(x[i][j], v) if x[i][j] % v else x[i][j] // v
-                     for i, j, v in self._anchors)
+        return tuple(x.get(ij, 0) for ij in self._anchors)
 
 
 _REALIZATIONS = {}
@@ -522,18 +537,16 @@ def expected_dims(rec):
 
 def _build_slpq(rec, real):
     p, q = rec.pair.pq
-    n = p + q
     pm = rec.param_map
     r, s = pm.get("r", 0), pm.get("s", 0)
-    e = [[0] * n for _ in range(n)]
-    f = [[0] * n for _ in range(n)]
+    e, f = {}, {}
     hv, hw = [0] * p, [0] * q
 
     def up(m, i, j, c=1):    # e_i (x) phi'_j
-        m[i - 1][p + j - 1] += c
+        m[i - 1, p + j - 1] = c
 
     def lo(m, i, j, c=1):    # phi_i (x) e'_j
-        m[p + j - 1][i - 1] += c
+        m[p + j - 1, i - 1] = c
 
     case = rec.case_id
     if case == "1.1":
@@ -629,7 +642,7 @@ def _build_slpq(rec, real):
         hw[q - 1] = -2
     else:
         raise ValueError(f"unknown case {case}")
-    return _diagonal_matrix(hv + hw), e, f
+    return hv + hw, e, f
 
 
 def _build_so_vector(rec, real):
@@ -639,18 +652,18 @@ def _build_so_vector(rec, real):
     hv = {}
     if case == "1":
         e = pe({1: 1}, -1 if var == "I" else 1)
-        f = mat_scale(pe({-1: 1}, 1 if var == "I" else -1), -1)
+        f = pe({-1: -1}, 1 if var == "I" else -1)
         hv = {1: 1, -1: -1}
         hw = (1, -1) if var == "I" else (-1, 1)
     elif case == "2":
-        e = mat_sub(pe({1: 1}, 1), pe({1: 1}, -1))
-        f = mat_sub(pe({-1: 1}, 1), pe({-1: 1}, -1))
+        e = _add(pe({1: 1}, 1), pe({1: 1}, -1), -1)
+        f = _add(pe({-1: 1}, 1), pe({-1: 1}, -1), -1)
         hv = {1: 2, -1: -2}
         hw = (0, 0)
     elif case == "3":
         if real.family == SO_ODD:
             e = pe({0: 1}, -1 if var == "I" else 1)
-            f = mat_scale(pe({0: 1}, 1 if var == "I" else -1), -2)
+            f = pe({0: -2}, 1 if var == "I" else -1)
         else:
             nlab = real.spec.rank - 1
             vec = {nlab: 1, -nlab: -1}
@@ -658,33 +671,35 @@ def _build_so_vector(rec, real):
             f = pe(vec, 1 if var == "I" else -1)
         hw = (2, -2) if var == "I" else (-2, 2)
     else:
-        e = mat_sub(pe({1: 1}, -1), pe({2: 1}, 1))
-        f = mat_scale(mat_sub(pe({-2: 1}, -1), pe({-1: 1}, 1)), 2)
+        e = _add(pe({1: 1}, -1), pe({2: 1}, 1), -1)
+        f = _add(pe({-2: 2}, -1), pe({-1: 2}, 1), -1)
         hv = {1: 2, 2: 2, -1: -2, -2: -2}
         hw = (0, 0)
-    return _diagonal_matrix([hv.get(lab, 0) for lab in real.v_labels] + list(hw)), e, f
+    return [hv.get(lab, 0) for lab in real.v_labels] + list(hw), e, f
 
 
-def _sym_terms(n, pairs):
-    """sum e_a e_b over (a, b) in pairs, mapped to a symmetric matrix."""
-    m = [[Fraction(0)] * n for _ in range(n)]
+def _embed(block, n, upper):
+    """The sparse n x n block as the S-block (upper) or T-block of a 2n x 2n matrix."""
+    r0, c0 = (0, n) if upper else (n, 0)
+    return {(r0 + i, c0 + j): v for (i, j), v in block.items()}
+
+
+def _sym_terms(pairs):
+    """sum e_a e_b over (a, b) in pairs, as a sparse symmetric block."""
+    m = {}
     for a, b in pairs:
-        m[a - 1][b - 1] += Fraction(1, 2)
-        m[b - 1][a - 1] += Fraction(1, 2)
-    out = [[int(x) for x in row] for row in m]
-    assert all(x == y for row, orow in zip(m, out) for x, y in zip(row, orow))
-    return out
+        for ij in ((a - 1, b - 1), (b - 1, a - 1)):
+            m[ij] = m.get(ij, 0) + Fraction(1, 2)
+    assert all(v.denominator == 1 for v in m.values())
+    return {ij: int(v) for ij, v in m.items()}
 
 
-def _wedge_terms(n, pairs, dual, scale=1):
-    m = [[0] * n for _ in range(n)]
+def _wedge_terms(pairs, dual, scale=1):
+    m = {}
     for a, b in pairs:
         if dual:
-            m[b - 1][a - 1] += scale
-            m[a - 1][b - 1] -= scale
-        else:
-            m[a - 1][b - 1] += scale
-            m[b - 1][a - 1] -= scale
+            a, b = b, a
+        m = _add(m, {(a - 1, b - 1): scale, (b - 1, a - 1): -scale})
     return m
 
 
@@ -696,23 +711,21 @@ def _build_gl_block(rec, real):
     hdiag = [0] * n
     if case == "3.1":
         pairs = [(i, r - i + 1) for i in range(1, r + 1)]
-        e = real._embed(_sym_terms(n, pairs), upper=True)
-        f = real._embed(_sym_terms(n, pairs), upper=False)
+        e = _embed(_sym_terms(pairs), n, upper=True)
+        f = _embed(_sym_terms(pairs), n, upper=False)
         for i in range(r):
             hdiag[i] = 1
     elif case == "3.2":
         pairs = [(n - r + i, n - i + 1) for i in range(1, r + 1)]
-        e = real._embed(_sym_terms(n, pairs), upper=False)
-        f = real._embed(_sym_terms(n, pairs), upper=True)
+        e = _embed(_sym_terms(pairs), n, upper=False)
+        f = _embed(_sym_terms(pairs), n, upper=True)
         for i in range(n - r, n):
             hdiag[i] = -1
     elif case == "3.3":
         up_pairs = [(i, r - i + 1) for i in range(1, r + 1)]
         lo_pairs = [(n - s + i, n - i + 1) for i in range(1, s + 1)]
-        e = linalg.mat_add(real._embed(_sym_terms(n, up_pairs), True),
-                           real._embed(_sym_terms(n, lo_pairs), False))
-        f = linalg.mat_add(real._embed(_sym_terms(n, up_pairs), False),
-                           real._embed(_sym_terms(n, lo_pairs), True))
+        e = _add(_embed(_sym_terms(up_pairs), n, True), _embed(_sym_terms(lo_pairs), n, False))
+        f = _add(_embed(_sym_terms(up_pairs), n, False), _embed(_sym_terms(lo_pairs), n, True))
         for i in range(r):
             hdiag[i] = 1
         for i in range(n - s, n):
@@ -724,34 +737,34 @@ def _build_gl_block(rec, real):
         lo_r = r if case == "5.2" else s
         lo_pairs = [(n - 2 * lo_r + i, n - i + 1) for i in range(1, lo_r + 1)]
         if case == "5.1":
-            e = real._embed(_wedge_terms(n, up_pairs, dual=False), True)
-            f = real._embed(_wedge_terms(n, up_pairs, dual=True), False)
+            e = _embed(_wedge_terms(up_pairs, dual=False), n, True)
+            f = _embed(_wedge_terms(up_pairs, dual=True), n, False)
             for i in range(2 * r):
                 hdiag[i] = 1
         elif case == "5.2":
-            e = real._embed(_wedge_terms(n, lo_pairs, dual=True), False)
-            f = real._embed(_wedge_terms(n, lo_pairs, dual=False), True)
+            e = _embed(_wedge_terms(lo_pairs, dual=True), n, False)
+            f = _embed(_wedge_terms(lo_pairs, dual=False), n, True)
             for i in range(n - 2 * r, n):
                 hdiag[i] = -1
         else:
-            e = linalg.mat_add(real._embed(_wedge_terms(n, up_pairs, dual=False), True),
-                               real._embed(_wedge_terms(n, lo_pairs, dual=True), False))
-            f = linalg.mat_add(real._embed(_wedge_terms(n, up_pairs, dual=True), False),
-                               real._embed(_wedge_terms(n, lo_pairs, dual=False), True))
+            e = _add(_embed(_wedge_terms(up_pairs, dual=False), n, True),
+                     _embed(_wedge_terms(lo_pairs, dual=True), n, False))
+            f = _add(_embed(_wedge_terms(up_pairs, dual=True), n, False),
+                     _embed(_wedge_terms(lo_pairs, dual=False), n, True))
             for i in range(2 * r):
                 hdiag[i] = 1
             for i in range(n - 2 * s, n):
                 hdiag[i] = -1
     elif case == "5.4":
-        e = linalg.mat_add(real._embed(_wedge_terms(n, [(1, 2)], dual=False), True),
-                           real._embed(_wedge_terms(n, [(2, n)], dual=True), False))
-        f = linalg.mat_add(real._embed(_wedge_terms(n, [(1, 2)], dual=True, scale=2), False),
-                           real._embed(_wedge_terms(n, [(2, n)], dual=False, scale=2), True))
+        e = _add(_embed(_wedge_terms([(1, 2)], dual=False), n, True),
+                 _embed(_wedge_terms([(2, n)], dual=True), n, False))
+        f = _add(_embed(_wedge_terms([(1, 2)], dual=True, scale=2), n, False),
+                 _embed(_wedge_terms([(2, n)], dual=False, scale=2), n, True))
         hdiag[0] = 2
         hdiag[n - 1] = -2
     else:
         raise ValueError(f"unknown case {case}")
-    return _diagonal_matrix(hdiag + [-x for x in hdiag]), e, f
+    return hdiag + [-x for x in hdiag], e, f
 
 
 def _validate_params(rec):
@@ -793,12 +806,13 @@ def build_triple(rec):
     _validate_params(rec)
     real = realization(rec.pair)
     if rec.pair.family_id == SLPQ:
-        h, e, f = _build_slpq(rec, real)
+        hdiag, e, f = _build_slpq(rec, real)
     elif rec.pair.family_id in (SO_ODD, SO_EVEN_VECTOR):
-        h, e, f = _build_so_vector(rec, real)
+        hdiag, e, f = _build_so_vector(rec, real)
     else:
-        h, e, f = _build_gl_block(rec, real)
-    return MatrixTriple(_freeze(h), _freeze(e), _freeze(f), rec)
+        hdiag, e, f = _build_gl_block(rec, real)
+    h = {(i, i): v for i, v in enumerate(hdiag) if v}
+    return MatrixTriple(_dense(h, real.dim), _dense(e, real.dim), _dense(f, real.dim), rec)
 
 
 # ---------------------------------------------------------------------------
@@ -806,16 +820,16 @@ def build_triple(rec):
 
 def verify_triple(triple):
     """Exact checks of the normal-triple conditions; never raises."""
-    h, e, f = triple.h, triple.e, triple.f
+    h, e, f = (_sparse(m) for m in (triple.h, triple.e, triple.f))
     real = triple.realization
-    sl2 = (is_zero_matrix(mat_sub(commutator(h, e), mat_scale(e, 2)))
-           and is_zero_matrix(mat_sub(commutator(h, f), mat_scale(f, -2)))
-           and is_zero_matrix(mat_sub(commutator(e, f), h)))
+    sl2 = (_bracket(h, e) == _add({}, e, 2)
+           and _bracket(h, f) == _add({}, f, -2)
+           and _bracket(e, f) == h)
     return {
         "sl2_ok": sl2,
-        "h_in_k": real.in_k(h),
-        "e_in_p": real.in_p(e),
-        "f_in_p": real.in_p(f),
+        "h_in_k": real.in_k(triple.h),
+        "e_in_p": real.in_p(triple.e),
+        "f_in_p": real.in_p(triple.f),
     }
 
 
@@ -839,7 +853,8 @@ def adh_grading(triple):
 def centralizer_dim(triple):
     """(dim K_e, dim Ke): kernel and image of ad(e) restricted to k."""
     real = triple.realization
-    rows = [real.p_coords(commutator(x, triple.e)) for x in real.k_basis]
+    e = _sparse(triple.e)
+    rows = [real.p_coords(_bracket(x, e)) for x in real.k_basis]
     orbit = linalg.rank(rows)
     return real.k_dim - orbit, orbit
 
@@ -848,22 +863,19 @@ _TRIAL_PRIME = (1 << 61) - 1
 _TRIALS = 4
 
 
-def _exp_nilpotent_modp(m, p):
-    n = len(m)
-    out = linalg.identity(n)
-    term = linalg.identity(n)
+def _exp_pair_modp(m, dim, p):
+    """(exp(m), exp(-m)) mod p for a nilpotent sparse dim x dim matrix m."""
+    g = ginv = term = {(i, i): 1 for i in range(dim)}
     fact = 1
-    for k in range(1, n + 1):
-        term = [[sum(term[i][t] * m[t][j] for t in range(n)) % p for j in range(n)]
-                for i in range(n)]
-        if all(x == 0 for row in term for x in row):
+    for k in range(1, dim + 1):
+        term = _mul(term, m, p)
+        if not term:
             break
         fact = fact * k % p
-        inv = pow(fact, p - 2, p)
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = (out[i][j] + term[i][j] * inv) % p
-    return out
+        c = pow(fact, -1, p)
+        g = _add(g, term, c, p)
+        ginv = _add(ginv, term, -c if k % 2 else c, p)
+    return g, ginv
 
 
 def _generic_borel_rank_modp(triple, rng, p):
@@ -872,29 +884,15 @@ def _generic_borel_rank_modp(triple, rng, p):
     Reduction mod p can only lower a rank, so reaching the orbit dimension
     certifies it exactly."""
     real = triple.realization
-    x = [[v % p for v in row] for row in triple.e]
+    x = _reduced(_sparse(triple.e), p)
     for basis in (real.minus_basis, real.plus_basis):
-        nil = [[0] * real.dim for _ in range(real.dim)]
+        nil = {}
         for b in basis:
-            _madd(nil, b, rng.randint(1, 9))
-        g = _exp_nilpotent_modp(nil, p)
-        ginv = _exp_nilpotent_modp([[-v for v in row] for row in nil], p)
-        x = [[sum(g[i][t] * x[t][j] for t in range(real.dim)) % p
-              for j in range(real.dim)] for i in range(real.dim)]
-        x = [[sum(x[i][t] * ginv[t][j] for t in range(real.dim)) % p
-              for j in range(real.dim)] for i in range(real.dim)]
-    rows = []
-    for b in real.borel_basis:
-        comm = [[sum(b[i][t] * x[t][j] - x[i][t] * b[t][j]
-                     for t in range(real.dim)) % p
-                 for j in range(real.dim)] for i in range(real.dim)]
-        rows.append(_modp_p_coords(real, comm, p))
+            nil = _add(nil, b, rng.randint(1, 9))
+        g, ginv = _exp_pair_modp(nil, real.dim, p)
+        x = _mul(_mul(g, x, p), ginv, p)
+    rows = [real.p_coords(_bracket(b, x, p)) for b in real.borel_basis]
     return linalg.rank(rows, p)
-
-
-def _modp_p_coords(real, x, p):
-    return [x[i][j] * v % p if v in (1, -1) else x[i][j] * pow(v % p, p - 2, p) % p
-            for i, j, v in real._anchors]
 
 
 def is_spherical(triple):
@@ -922,29 +920,34 @@ def _borel_orbit_open(triple, dim_orbit):
                for _ in range(_TRIALS))
 
 
-def p_height(triple, cap=12):
-    """max n with (ad e)^n p != 0, by iterated exact bracketing."""
+def p_height(triple):
+    """max n with (ad e)^n p != 0, by iterated exact bracketing.
+
+    ValueError if e is not nilpotent: a nilpotent e in gl(N) has
+    (ad e)^(2N-1) = 0.
+    """
     real = triple.realization
+    e = _sparse(triple.e)
     best = 0
-    for x in real.p_basis:
-        y, n = x, 0
-        while not is_zero_matrix(y):
-            y = commutator(triple.e, y)
+    for y in real.p_basis:
+        n = 0
+        while y:
+            if n == 2 * real.dim - 1:
+                raise ValueError("e is not nilpotent: (ad e)^(2N-1) p != 0")
+            y = _bracket(e, y)
             n += 1
-            if n > cap:
-                raise ValueError("p-height exceeds cap; construction bug")
-        best = max(best, n - 1) if n else best
+        best = max(best, n - 1)
     return best
 
 
-def jordan_type(e, dim=None):
+def jordan_type(e):
     """Partition of the Jordan type of a nilpotent matrix, largest part first."""
     n = len(e)
     ranks = [n]
-    power = [row[:] for row in e]
-    while not is_zero_matrix(power):
-        ranks.append(linalg.rank(power))
-        power = mat_mul(power, e)
+    e = power = _sparse(e)
+    while power:
+        ranks.append(linalg.rank(_dense(power, n)))
+        power = _mul(power, e)
     ranks.append(0)
     parts = []
     for k in range(1, len(ranks)):
@@ -966,10 +969,11 @@ def bicone_witness(triple):
     """Lie-level bicone data: h-weight 2 and central charges (+m, -m)."""
     real = triple.realization
     m = real.spec.m
-    zeta_weights = diagonal_weights(real.zeta, triple.e)
+    e = _sparse(triple.e)
+    zeta_weights = diagonal_weights(real.zeta, e)
     charges = tuple(c if c in zeta_weights else None for c in (m, -m))
     return {
-        "h_weight_on_e": 2 if diagonal_weights(_diagonal(triple.h), triple.e) <= {2} else None,
+        "h_weight_on_e": 2 if diagonal_weights(_diagonal(triple.h), e) <= {2} else None,
         "chi_charges": charges,
         "both_components_nonzero": None not in charges,
     }

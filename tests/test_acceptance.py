@@ -68,6 +68,11 @@ def test_criterion_2_sphericity(orbit_sweep):
     _report("criterion 2 (sphericity and every orbit invariant)", time.time() - t0, 120)
 
 
+def test_orbit_ids_roundtrip(orbit_sweep):
+    for rec, _triple in orbit_sweep:
+        assert ob.parse_orbit_id(rec.orbit_id()) == rec
+
+
 def test_criterion_3_signed_partitions(orbit_sweep):
     t0 = time.time()
     for rec, triple in orbit_sweep:

@@ -92,6 +92,13 @@ def test_triple_command(tmp_path):
     assert all(doc["data"]["checks"].values())
 
 
+@pytest.mark.parametrize("orbit", ["A:5:p=3/1.6/r=x", "A:5:p=3/1.6/r",
+                                   "A:5:p=3/1.6/r=1=0,s=0"])
+def test_triple_rejects_malformed_params(orbit, capsys):
+    assert main(["triple", orbit]) == 2
+    assert "bad orbit id" in capsys.readouterr().err
+
+
 def test_semigroup_match(tmp_path):
     code, text = run_cli(["semigroup", "1.4", "--p", "5", "--max-degree", "3"], tmp_path)
     assert code == 0

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from korbits import orbits as ob
 from korbits.hermitian import parse_pair_key
 from korbits import linalg
-from korbits.linalg import is_zero_matrix, mat_sub
+
+PRIME = (1 << 61) - 1
 
 
 def rec(key, case, params=(), variant=""):
@@ -139,19 +142,49 @@ def test_p_coords_reconstruction():
     # anchors really coordinatize p: rebuild the matrix from coordinates.
     for key in ("A:4:p=2", "B:3", "C:3", "D:5:p=1", "D:4:p=4"):
         real = ob.realization(parse_pair_key(key))
-        x = [[0] * real.dim for _ in range(real.dim)]
+        x = {}
         for i, b in enumerate(real.p_basis):
-            c = (i % 3) - 1
-            for r in range(real.dim):
-                for s in range(real.dim):
-                    x[r][s] += c * b[r][s]
-        coords = real.p_coords(x)
-        rebuilt = [[0] * real.dim for _ in range(real.dim)]
-        for c, b in zip(coords, real.p_basis):
-            for r in range(real.dim):
-                for s in range(real.dim):
-                    rebuilt[r][s] += c * b[r][s]
-        assert is_zero_matrix(mat_sub(x, rebuilt))
+            x = ob._add(x, b, (i % 3) - 1)
+        rebuilt = {}
+        for c, b in zip(real.p_coords(x), real.p_basis):
+            rebuilt = ob._add(rebuilt, b, c)
+        assert rebuilt == x
+
+
+def dense(x, rows, cols):
+    return [[x.get((i, j), 0) for j in range(cols)] for i in range(rows)]
+
+
+@st.composite
+def matrix_pairs(draw, square=False):
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(1 << 64), 1 << 64))
+    n = draw(st.integers(1, 5))
+    k, m = (n, n) if square else (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs())
+def test_sparse_product_matches_dense(ab):
+    a, b = ab
+    n, m = len(a), len(b[0])
+    want = linalg.mat_mul(a, b)
+    assert dense(ob._mul(ob._sparse(a), ob._sparse(b)), n, m) == want
+    got = ob._mul(ob._sparse(a), ob._sparse(b), PRIME)
+    assert dense(got, n, m) == [[v % PRIME for v in row] for row in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs(square=True))
+def test_sparse_bracket_matches_dense(ab):
+    a, b = ab
+    n = len(a)
+    want = linalg.commutator(a, b)
+    assert dense(ob._bracket(ob._sparse(a), ob._sparse(b)), n, n) == want
+    got = ob._bracket(ob._sparse(a), ob._sparse(b), PRIME)
+    assert dense(got, n, n) == [[v % PRIME for v in row] for row in want]
 
 
 def test_is_spherical_true_on_listed_orbits():
@@ -192,6 +225,12 @@ def test_p_height_examples():
     zero = tuple(tuple(0 for _ in range(4)) for _ in range(4))
     tz = ob.MatrixTriple(zero, zero, zero, ob.OrbitRecord(pair, "1.1", (("r", 1),)))
     assert ob.p_height(tz) == 0
+
+
+def test_p_height_rejects_non_nilpotent_e():
+    t = ob.build_triple(rec("A:5:p=2", "1.1", (("r", 2),)))
+    with pytest.raises(ValueError, match="not nilpotent"):
+        ob.p_height(ob.MatrixTriple(t.h, t.h, t.f, t.record))
 
 
 def test_bicone_witness_cases():
