@@ -220,6 +220,15 @@ def cg_injection(m, n, k):
 _PRODUCT_CACHE = {}
 
 
+def _entries(t):
+    return t.entries() if isinstance(t, TTriple) else tuple(t)
+
+
+def _check_member(t):
+    if not in_tensor_semigroup(t):
+        raise ValueError(f"{TTriple(*t)} is not in the tensor semigroup")
+
+
 def product_contains(k, m, n):
     """Whether V(k) occurs in the product V(m) . V(n) in the invariant ring.
 
@@ -228,21 +237,17 @@ def product_contains(k, m, n):
     the projection V(k) (x) V(k') -> V(k''); the scalar is read off on the
     weight-k'' block against the top row.
     """
-    kk, mm, nn = (t if isinstance(t, TTriple) else TTriple(*t) for t in (k, m, n))
-    for t in (kk, mm, nn):
-        if not in_tensor_semigroup(t):
-            raise ValueError(f"{t} is not in the tensor semigroup")
-    key = (kk.entries(), mm.entries(), nn.entries())
-    if key in _PRODUCT_CACHE:
-        return _PRODUCT_CACHE[key]
-    ok = all(in_tensor_semigroup((a, b, c))
-             for a, b, c in zip(mm.entries(), nn.entries(), kk.entries()))
-    if not ok:
+    # Only checked keys enter the cache, so a hit needs no validity check.
+    key = (_entries(k), _entries(m), _entries(n))
+    found = _PRODUCT_CACHE.get(key)
+    if found is not None:
+        return found
+    for t in key:
+        _check_member(t)
+    (kv, k1, k2), (m, m1, m2), (n, n1, n2) = key
+    if not all(map(in_tensor_semigroup, ((m, n, kv), (m1, n1, k1), (m2, n2, k2)))):
         _PRODUCT_CACHE[key] = False
         return False
-    m, m1, m2 = mm.entries()
-    n, n1, n2 = nn.entries()
-    kv, k1, k2 = kk.entries()
     iota1 = cg_injection(m, n, kv)
     iota2 = cg_injection(m1, n1, k1)
     p1 = cg_projection(m, m1, m2)
@@ -279,19 +284,24 @@ def product_contains(k, m, n):
     return found
 
 
+_GAMMA_CACHE = {}
+
+
 def gamma_module(m):
-    """All n in T with m - n componentwise nonnegative and even."""
-    mm = m if isinstance(m, TTriple) else TTriple(*m)
-    if not in_tensor_semigroup(mm):
-        raise ValueError(f"{mm} is not in the tensor semigroup")
-    out = []
-    a, b, c = mm.entries()
-    for x in range(a % 2, a + 1, 2):
-        for y in range(b % 2, b + 1, 2):
-            for z in range(c % 2, c + 1, 2):
-                if in_tensor_semigroup((x, y, z)):
-                    out.append(TTriple(x, y, z))
-    return sorted(out, key=TTriple.entries)
+    """All n in T with m - n componentwise nonnegative and even, as a tuple
+    in lexicographic order of entries."""
+    key = _entries(m)
+    out = _GAMMA_CACHE.get(key)
+    if out is None:
+        _check_member(key)
+        a, b, c = key
+        out = tuple(TTriple(x, y, z)
+                    for x in range(a % 2, a + 1, 2)
+                    for y in range(b % 2, b + 1, 2)
+                    for z in range(c % 2, c + 1, 2)
+                    if in_tensor_semigroup((x, y, z)))
+        _GAMMA_CACHE[key] = out
+    return out
 
 
 def verify_gamma_product(m, n):

@@ -941,11 +941,16 @@ def p_height(triple):
 
 
 def jordan_type(e):
-    """Partition of the Jordan type of a nilpotent matrix, largest part first."""
+    """Partition of the Jordan type of a nilpotent matrix, largest part first.
+
+    ValueError if e is not nilpotent: a nilpotent N x N matrix has e^N = 0.
+    """
     n = len(e)
     ranks = [n]
     e = power = _sparse(e)
     while power:
+        if len(ranks) == n:
+            raise ValueError("e is not nilpotent: e^N != 0")
         ranks.append(linalg.rank(_dense(power, n)))
         power = _mul(power, e)
     ranks.append(0)

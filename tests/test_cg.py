@@ -162,6 +162,42 @@ def test_gamma_module_examples():
         cg.gamma_module(T(1, 1, 1))
 
 
+def test_product_cache_checks_every_new_key():
+    cg.product_contains(T(2, 2, 4), T(1, 1, 2), T(1, 1, 2))
+    assert cg._PRODUCT_CACHE
+    for bad in ((T(1, 1, 1), T(1, 1, 2), T(1, 1, 2)),
+                (T(2, 2, 4), T(1, 1, 1), T(1, 1, 2)),
+                ((2, 2, 4), (1, 1, 2), (0, 0, 1))):
+        before = dict(cg._PRODUCT_CACHE)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is not in the tensor semigroup"):
+                cg.product_contains(*bad)
+        assert cg._PRODUCT_CACHE == before
+
+
+def test_product_cache_key_ignores_argument_type():
+    cg._PRODUCT_CACHE.clear()
+    triple = (T(2, 2, 2), T(1, 1, 2), T(1, 1, 0))
+    plain = tuple(t.entries() for t in triple)
+    assert cg.product_contains(*triple)
+    assert len(cg._PRODUCT_CACHE) == 1
+    assert cg.product_contains(*plain)
+    assert cg.product_contains(plain[0], triple[1], list(plain[2]))
+    assert len(cg._PRODUCT_CACHE) == 1
+
+
+def test_gamma_module_is_memoized_and_immutable():
+    first = cg.gamma_module(T(2, 2, 2))
+    assert isinstance(first, tuple)
+    assert cg.gamma_module((2, 2, 2)) == first
+    assert cg.gamma_module(T(2, 2, 2)) == first
+    assert [t.entries() for t in first] == sorted(t.entries() for t in first)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not in the tensor semigroup"):
+            cg.gamma_module(T(1, 1, 1))
+    assert (1, 1, 1) not in cg._GAMMA_CACHE
+
+
 def test_verify_gamma_product_examples():
     assert cg.verify_gamma_product(T(1, 0, 1), T(0, 1, 1))["ok"]
     res = cg.verify_gamma_product(T(1, 1, 2), T(1, 1, 2))

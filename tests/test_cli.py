@@ -9,6 +9,7 @@ from korbits import orbits
 from korbits.cli import main
 
 REPORT_ALL_SHA256 = "82321344592a3466aa7af541c10c963afde0babea13b781456770f97d54c5439"
+CG_VERIFY_4_SHA256 = "92528de8197655a80ab8986a5b692d6b59141a75133d6756e71445f58d66c12d"
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -142,6 +143,12 @@ def test_cg_verify(tmp_path):
     doc = json.loads(text)
     assert doc["data"]["ok"]
     assert [[2, 2, 2], [1, 1, 2], [1, 1, 2]] in doc["data"]["degenerate"]
+
+
+def test_cg_verify_golden_output(tmp_path):
+    code, text = run_cli(["cg-verify", "4"], tmp_path)
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CG_VERIFY_4_SHA256
 
 
 def test_cg_verify_zero(tmp_path):

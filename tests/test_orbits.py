@@ -233,6 +233,11 @@ def test_p_height_rejects_non_nilpotent_e():
         ob.p_height(ob.MatrixTriple(t.h, t.h, t.f, t.record))
 
 
+def test_jordan_type_rejects_non_nilpotent_e():
+    with pytest.raises(ValueError, match="not nilpotent"):
+        ob.jordan_type(((1,),))
+
+
 def test_bicone_witness_cases():
     both = ob.bicone_witness(ob.build_triple(rec("A:5:p=3", "1.3", (("r", 1), ("s", 1)))))
     assert both["both_components_nonzero"] and both["chi_charges"] == (2, -2)
