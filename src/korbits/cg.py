@@ -250,33 +250,30 @@ def product_contains(k, m, n):
         return False
     iota1 = cg_injection(m, n, kv)
     iota2 = cg_injection(m1, n1, k1)
-    p1 = cg_projection(m, m1, m2)
-    p2 = cg_projection(n, n1, n2)
+    rows1 = cg_projection(m, m1, m2).rows
+    rows2 = cg_projection(n, n1, n2).rows
     top = cg_projection(m2, n2, k2).rows[0]
+    # x_i (x) x_i1 has weight m2 - 2 al for the one al = i + i1 - off, and the
+    # weight-k2 block of V(m2) (x) V(n2) pairs it with be = half - al.
+    off = (m + m1 - m2) // 2
+    half = (m2 + n2 - k2) // 2
     found = False
     for (a, b) in _weight_block(kv, k1, k2):
-        u = iota1[a]
-        v = iota2[b]
+        vs = [(t // (n1 + 1), t % (n1 + 1), cj) for t, cj in enumerate(iota2[b]) if cj]
         total = 0
-        for i in range(m + 1):
-            for j in range(n + 1):
-                ci = u[i * (n + 1) + j]
-                if not ci:
-                    continue
-                for i1 in range(m1 + 1):
-                    for j1 in range(n1 + 1):
-                        cj = v[i1 * (n1 + 1) + j1]
-                        if not cj:
-                            continue
-                        for al in range(m2 + 1):
-                            w1 = p1.rows[al][i * (m1 + 1) + i1]
-                            if not w1:
-                                continue
-                            be = (m2 + n2 - k2) // 2 - al
-                            if 0 <= be <= n2:
-                                w2 = p2.rows[be][j * (n1 + 1) + j1]
-                                if w2:
-                                    total += ci * cj * w1 * w2 * top[al * (n2 + 1) + be]
+        for t, ci in enumerate(iota1[a]):
+            if not ci:
+                continue
+            i, j = divmod(t, n + 1)
+            for i1, j1, cj in vs:
+                al = i + i1 - off
+                be = half - al
+                if 0 <= al <= m2 and 0 <= be <= n2:
+                    w1 = rows1[al][i * (m1 + 1) + i1]
+                    if w1:
+                        w2 = rows2[be][j * (n1 + 1) + j1]
+                        if w2:
+                            total += ci * cj * w1 * w2 * top[al * (n2 + 1) + be]
         if total:
             found = True
             break
@@ -305,22 +302,24 @@ def gamma_module(m):
 
 
 def verify_gamma_product(m, n):
-    """Check Gamma(m) . Gamma(n) = Gamma(m + n) by exhaustive pair search."""
+    """Check Gamma(m) . Gamma(n) = Gamma(m + n) by exhaustive pair search.
+
+    V(k) is the top (Cartan) component of V(mt) (x) V(k - mt), and such a
+    product usually contains it, so each k first tries those splits with mt
+    in Gamma(m) and k - mt in Gamma(n), then every pair of Gamma(m) x
+    Gamma(n) in lexicographic order.  Either way the verdict is exact.
+    """
     mm = m if isinstance(m, TTriple) else TTriple(*m)
     nn = n if isinstance(n, TTriple) else TTriple(*n)
     gm = gamma_module(mm)
     gn = gamma_module(nn)
+    in_gn = {nt.entries() for nt in gn}
     missing = []
     for k in gamma_module(mm + nn):
-        found = False
-        for mt in gm:
-            for nt in gn:
-                if product_contains(k, mt, nt):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        a, b, c = k.entries()
+        splits = ((mt, (a - mt.m, b - mt.m1, c - mt.m2)) for mt in gm)
+        if not (any(nt in in_gn and product_contains(k, mt, nt) for mt, nt in splits)
+                or any(product_contains(k, mt, nt) for mt in gm for nt in gn)):
             missing.append(k)
     return {"ok": not missing, "missing": missing}
 

@@ -145,6 +145,9 @@ def _cmd_normality(args):
 
 def _cmd_cg_verify(args):
     top = args.max_entry if args.max_entry is not None else args.max_entry_flag
+    if args.max_entry_flag not in (None, top):
+        raise SystemExit(f"error: cg-verify got max entry {top} and --max-entry "
+                         f"{args.max_entry_flag}; give one bound")
     if top is None:
         raise SystemExit("error: cg-verify needs a maximum entry (positional or --max-entry)")
     data = cg.section_sweep(top)

@@ -162,6 +162,14 @@ def test_cg_verify_flag_form(tmp_path):
     assert code == 0 and json.loads(text)["data"]["ok"]
 
 
+def test_cg_verify_bounds_must_agree(tmp_path, capsys):
+    assert main(["cg-verify", "1", "--max-entry", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "max entry 1" in err and "--max-entry 2" in err
+    code, text = run_cli(["cg-verify", "1", "--max-entry", "1"], tmp_path)
+    assert code == 0 and json.loads(text)["meta"]["params"]["max_entry"] == 1
+
+
 def test_report_all(tmp_path):
     code, text = run_cli(["report-all"], tmp_path)
     assert code == 0
