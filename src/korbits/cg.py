@@ -3,8 +3,8 @@ projections, and the section-multiplication surjectivity machinery.
 
 V(m) has weight basis x_0, ..., x_m ordered highest to lowest, with
 f.x_j = x_{j+1}, e.x_j = j(m-j+1) x_{j-1}, h.x_j = (m-2j) x_j.  Everything
-is integer arithmetic: projections are normalized to primitive integer
-matrices, and the product criterion is a zero test, so scalings never
+is integer arithmetic: projections are primitive integer rows stored by
+weight block, and the product criterion is a zero test, so scalings never
 matter (the tests check this explicitly).
 """
 
@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-from . import linalg
 
 
 @dataclass(frozen=True)
@@ -40,54 +38,27 @@ def in_tensor_semigroup(t):
 
 @dataclass(frozen=True)
 class CGProjection:
+    """V(m) (x) V(n) -> V(k) stored by weight block.  With h = (m + n - k)/2,
+    row j is nonzero only on the pairs (a, h + j - a); rows[j][a] is its
+    entry there (0 where h + j - a is not an index of V(n)).  The rows are
+    primitive integers with rows[0][0] > 0."""
     m: int
     n: int
     k: int
-    rows: tuple      # primitive integer rows over the flattened tensor basis
+    rows: tuple
 
     def matrix(self):
-        """The projection normalized so its first nonzero entry is 1."""
-        lead = next(x for row in self.rows for x in row if x)
-        return [[Fraction(x, lead) for x in row] for row in self.rows]
-
-
-def _tensor_f(m, n, vec):
-    """Apply f (x) 1 + 1 (x) f to a dense tensor-coordinate vector."""
-    out = [0] * len(vec)
-    for a in range(m + 1):
-        for b in range(n + 1):
-            c = vec[a * (n + 1) + b]
-            if not c:
-                continue
-            if a + 1 <= m:
-                out[(a + 1) * (n + 1) + b] += c
-            if b + 1 <= n:
-                out[a * (n + 1) + b + 1] += c
-    return out
-
-
-def _tensor_e(m, n, vec):
-    out = [0] * len(vec)
-    for a in range(m + 1):
-        for b in range(n + 1):
-            c = vec[a * (n + 1) + b]
-            if not c:
-                continue
-            if a >= 1:
-                out[(a - 1) * (n + 1) + b] += c * a * (m - a + 1)
-            if b >= 1:
-                out[a * (n + 1) + b - 1] += c * b * (n - b + 1)
-    return out
-
-
-def _weight_block(m, n, w):
-    """Tensor basis indices (a, b) with weight (m - 2a) + (n - 2b) = w."""
-    out = []
-    for a in range(m + 1):
-        b2 = (m + n - w) - 2 * a
-        if b2 % 2 == 0 and 0 <= b2 // 2 <= n:
-            out.append((a, b2 // 2))
-    return out
+        """The dense projection over the flattened basis a(n + 1) + b,
+        normalized so its first nonzero entry is 1."""
+        m, n, k = self.m, self.n, self.k
+        h = (m + n - k) // 2
+        lead = self.rows[0][0]
+        out = [[Fraction(0)] * ((m + 1) * (n + 1)) for _ in self.rows]
+        for j, row in enumerate(self.rows):
+            for a, x in enumerate(row):
+                if x:
+                    out[j][a * (n + 1) + h + j - a] = Fraction(x, lead)
+        return out
 
 
 _PROJ_CACHE = {}
@@ -95,126 +66,77 @@ _PROJ_CACHE = {}
 
 def cg_projection(m, n, k):
     """The equivariant projection V(m) (x) V(n) -> V(k), primitive integer
-    entries, first nonzero entry of the top row positive."""
+    entries, first entry of the top row positive."""
     key = (m, n, k)
     if key in _PROJ_CACHE:
         return _PROJ_CACHE[key]
     if not in_tensor_semigroup((m, n, k)):
         raise ValueError(f"({m},{n},{k}) is not in the tensor semigroup")
-    dim = (m + 1) * (n + 1)
-    # Top row: a functional on the weight-k block annihilating f(block k+2).
-    blk = _weight_block(m, n, k)
-    upper = _weight_block(m, n, k + 2)
-    constraints = []
-    for (a, b) in upper:
-        vec = [0] * dim
-        vec[a * (n + 1) + b] = 1
-        img = _tensor_f(m, n, vec)
-        constraints.append([img[x * (n + 1) + y] for (x, y) in blk])
-    if constraints:
-        # The kernel vector with d at the free column: each echelon row
-        # d x_p + row[free] x_free = 0 gives x_p = -row[free].
-        red, pivots, d = linalg.echelon(constraints)
-        free = [j for j in range(len(blk)) if j not in pivots]
-        assert len(free) == 1
-        row0_blk = [0] * len(blk)
-        row0_blk[free[0]] = d
-        for rrow, p in zip(red, pivots):
-            row0_blk[p] = -rrow[free[0]]
-    else:
-        assert len(blk) == 1
-        row0_blk = [1]
-    row0 = [Fraction(0)] * dim
-    for coef, (a, b) in zip(row0_blk, blk):
-        row0[a * (n + 1) + b] = coef
-    rows = [row0]
+    h = (m + n - k) // 2          # h <= min(m, n), so block 0 is a = 0..h
+    # f(x_a (x) x_{h-1-a}) = x_{a+1} (x) x_{h-1-a} + x_a (x) x_{h-a}: the
+    # functional on block 0 killing f(block -1) alternates in sign.
+    rows = [[(-1) ** a if a <= h else 0 for a in range(m + 1)]]
     for j in range(1, k + 1):
-        # e-intertwining: row_j(u) = row_{j-1}(e u) / (j (k - j + 1)).
-        prev = rows[-1]
-        row = [Fraction(0)] * dim
-        denom = j * (k - j + 1)
-        for (a, b) in _weight_block(m, n, k - 2 * j):
-            vec = [0] * dim
-            vec[a * (n + 1) + b] = 1
-            img = _tensor_e(m, n, vec)
-            val = sum(prev[t] * img[t] for t in range(dim) if img[t])
-            row[a * (n + 1) + b] = Fraction(val, denom)
+        # e-intertwining: row_j(u) = row_{j-1}(e u) / (j (k - j + 1)); the
+        # division is deferred to one scale c_k / c_j per row below.
+        prev, row = rows[-1], [0] * (m + 1)
+        for a in range(max(0, h + j - n), min(m, h + j) + 1):
+            b = h + j - a
+            row[a] = b * (n - b + 1) * prev[a] + (a * (m - a + 1) * prev[a - 1] if a else 0)
         rows.append(row)
-    # One common rescaling so the rows stay a single equivariant matrix.
-    full = _rescale_consistently(rows)
-    lead = next(x for x in full[0] if x)
-    if lead < 0:
-        full = [[-x for x in r] for r in full]
-    proj = CGProjection(m, n, k, tuple(tuple(r) for r in full))
+    # c_j = prod_{i <= j} i (k - i + 1); row j times c_k / c_j is c_k row_j.
+    scale = 1
+    for j in range(k, -1, -1):
+        rows[j] = [x * scale for x in rows[j]]
+        scale *= j * (k - j + 1)
+    g = gcd(*(x for row in rows for x in row))
+    proj = CGProjection(m, n, k, tuple(tuple(x // g for x in row) for row in rows))
     _verify_projection(proj)
     _PROJ_CACHE[key] = proj
     return proj
 
 
-def _rescale_consistently(rows):
-    den = 1
-    for r in rows:
-        for x in r:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                den = den * x.denominator // gcd(den, x.denominator)
-    ints = [[int(x * den) for x in r] for r in rows]
-    g = 0
-    for r in ints:
-        for x in r:
-            g = gcd(g, abs(x))
-    if g > 1:
-        ints = [[x // g for x in r] for r in ints]
-    return ints
-
-
 def _verify_projection(proj):
-    """Exact equivariance: pi e = e pi and pi f = f pi on every basis vector."""
+    """Exact equivariance, pi f = f pi and pi e = e pi, on every basis vector
+    x_a (x) x_b of block j (a + b = h + j).  Only blocks -1..k+1 can give
+    more than 0 = 0."""
     m, n, k = proj.m, proj.n, proj.k
-    dim = (m + 1) * (n + 1)
-    for t in range(dim):
-        vec = [0] * dim
-        vec[t] = 1
-        fe = _tensor_f(m, n, vec)
-        lhs = [sum(proj.rows[j][u] * fe[u] for u in range(dim)) for j in range(k + 1)]
-        pv = [proj.rows[j][t] for j in range(k + 1)]
-        rhs = [0] * (k + 1)
-        for j in range(k):
-            rhs[j + 1] += pv[j]
-        if lhs != rhs:
-            raise AssertionError("projection does not intertwine f")
-        ee = _tensor_e(m, n, vec)
-        lhs = [sum(proj.rows[j][u] * ee[u] for u in range(dim)) for j in range(k + 1)]
-        rhs = [0] * (k + 1)
-        for j in range(1, k + 1):
-            rhs[j - 1] += pv[j] * j * (k - j + 1)
-        if lhs != rhs:
-            raise AssertionError("projection does not intertwine e")
+    h = (m + n - k) // 2
+    zero = (0,) * (m + 1)
+
+    def row(j):
+        return proj.rows[j] if 0 <= j <= k else zero
+
+    for j in range(-1, k + 2):
+        here, down, up = row(j), row(j + 1), row(j - 1)
+        for a in range(max(0, h + j - n), min(m, h + j) + 1):
+            b = h + j - a
+            # f x_a (x) x_b = x_{a+1} (x) x_b + x_a (x) x_{b+1}
+            if down[a] + (down[a + 1] if a < m else 0) != (here[a] if j < k else 0):
+                raise AssertionError("projection does not intertwine f")
+            # e x_a (x) x_b = a(m-a+1) x_{a-1} (x) x_b + b(n-b+1) x_a (x) x_{b-1}
+            lhs = b * (n - b + 1) * up[a] + (a * (m - a + 1) * up[a - 1] if a else 0)
+            if lhs != here[a] * j * (k - j + 1):
+                raise AssertionError("projection does not intertwine e")
 
 
 _IOTA_CACHE = {}
 
 
 def cg_injection(m, n, k):
-    """Equivariant injection V(k) -> V(m) (x) V(n): the transpose of the
-    projection conjugated by the self-duality x_i -> (-1)^i x*_{top-i}."""
+    """Equivariant injection V(k) -> V(m) (x) V(n), column i stored like
+    projection row i: the transpose of the projection conjugated by the
+    self-duality x_i -> (-1)^i x*_{top-i}.  Its column i sits on block i
+    (c + d = h + i), so the sign (-1)^(i+c+d) is (-1)^h, and the column is
+    (-1)^h times projection row k - i read backwards."""
     key = (m, n, k)
-    if key in _IOTA_CACHE:
-        return _IOTA_CACHE[key]
-    proj = cg_projection(m, n, k)
-    dim = (m + 1) * (n + 1)
-    cols = []
-    for i in range(k + 1):
-        vec = [0] * dim
-        prow = proj.rows[k - i]
-        for c in range(m + 1):
-            for d in range(n + 1):
-                val = prow[(m - c) * (n + 1) + (n - d)]
-                if val:
-                    sign = -1 if (i + c + d) % 2 else 1
-                    vec[c * (n + 1) + d] = sign * val
-        cols.append(tuple(vec))
-    _IOTA_CACHE[key] = tuple(cols)
-    return _IOTA_CACHE[key]
+    cols = _IOTA_CACHE.get(key)
+    if cols is None:
+        rows = cg_projection(m, n, k).rows
+        sign = -1 if (m + n - k) // 2 % 2 else 1
+        cols = tuple(tuple(sign * x for x in reversed(rows[k - i])) for i in range(k + 1))
+        _IOTA_CACHE[key] = cols
+    return cols
 
 
 _PRODUCT_CACHE = {}
@@ -253,27 +175,32 @@ def product_contains(k, m, n):
     rows1 = cg_projection(m, m1, m2).rows
     rows2 = cg_projection(n, n1, n2).rows
     top = cg_projection(m2, n2, k2).rows[0]
-    # x_i (x) x_i1 has weight m2 - 2 al for the one al = i + i1 - off, and the
-    # weight-k2 block of V(m2) (x) V(n2) pairs it with be = half - al.
+    # The weight-k2 block of V(kv) (x) V(k1) is x_a (x) x_{h12-a}, a = 0..h12.
+    # iota1[a][i] is the entry at x_i (x) x_j, j = h1 + a - i; the term
+    # (x_i (x) x_j) (x) (x_i1 (x) x_j1) has weight row al = i + i1 - off of
+    # rows1, and the weight-k2 block pairs it with be = half - al, which
+    # rows2[be] reads at j.
+    h12 = (kv + k1 - k2) // 2
+    h1 = (m + n - kv) // 2
     off = (m + m1 - m2) // 2
     half = (m2 + n2 - k2) // 2
     found = False
-    for (a, b) in _weight_block(kv, k1, k2):
-        vs = [(t // (n1 + 1), t % (n1 + 1), cj) for t, cj in enumerate(iota2[b]) if cj]
+    for a in range(h12 + 1):
+        vs = [(i1, cj) for i1, cj in enumerate(iota2[h12 - a]) if cj]
         total = 0
-        for t, ci in enumerate(iota1[a]):
+        for i, ci in enumerate(iota1[a]):
             if not ci:
                 continue
-            i, j = divmod(t, n + 1)
-            for i1, j1, cj in vs:
+            j = h1 + a - i
+            for i1, cj in vs:
                 al = i + i1 - off
                 be = half - al
                 if 0 <= al <= m2 and 0 <= be <= n2:
-                    w1 = rows1[al][i * (m1 + 1) + i1]
+                    w1 = rows1[al][i]
                     if w1:
-                        w2 = rows2[be][j * (n1 + 1) + j1]
+                        w2 = rows2[be][j]
                         if w2:
-                            total += ci * cj * w1 * w2 * top[al * (n2 + 1) + be]
+                            total += ci * cj * w1 * w2 * top[al]
         if total:
             found = True
             break

@@ -141,14 +141,18 @@ def parse_pair_key(key):
     if len(parts) != 3:
         raise ValueError(f"pair key {key!r} needs a marked root, e.g. {t}:{n}:p=1")
     tag = parts[2]
+    bad_tag = ValueError(f"bad marked-root tag {tag!r} in pair key {key!r}")
     if t == "D" and tag == "vec":
         p = 1
     elif t == "D" and tag == "gl":
         p = n
     elif tag.startswith("p="):
-        p = int(tag[2:])
+        try:
+            p = int(tag[2:])
+        except ValueError:
+            raise bad_tag from None
     else:
-        raise ValueError(f"bad marked-root tag {tag!r} in pair key {key!r}")
+        raise bad_tag
     return _make_pair_checked(t, n, p)
 
 

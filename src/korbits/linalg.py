@@ -2,8 +2,8 @@
 
 Matrices are lists of lists of ints or Fractions; nothing here ever touches
 floating point.  One fraction-free elimination kernel, `echelon`, serves
-every exact rank, solve and kernel computation in the package; `simplex_max`
-is a small rational simplex for the LP bounds of the semigroup layer.
+every exact rank and solve in the package; `simplex_max` is a small
+rational simplex for the LP bounds of the semigroup layer.
 """
 
 from __future__ import annotations

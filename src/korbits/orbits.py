@@ -87,9 +87,14 @@ def parse_orbit_id(orbit_id):
                              "name=int,...") from None
     variant = parts[3] if len(parts) == 4 else ""
     rec = OrbitRecord(pair, case_id, params, variant)
-    if rec not in list_orbits(pair):
-        raise ValueError(f"unknown orbit {orbit_id!r}")
+    _check_catalogued(rec, orbit_id)
     return rec
+
+
+def _check_catalogued(rec, orbit_id):
+    """ValueError unless the record is one of `list_orbits(rec.pair)`."""
+    if rec not in list_orbits(rec.pair):
+        raise ValueError(f"unknown orbit {orbit_id!r}")
 
 
 def _dense(x, n):
@@ -182,7 +187,6 @@ class Realization:
         p, q = self.spec.pq
         n = p + q
         self.dim = n
-        self.blocks = (p, q)
         kb, bor, plus, minus = [], [], [], []
         for lo, hi in ((0, p), (p, n)):
             for a in range(lo, hi):
@@ -767,43 +771,9 @@ def _build_gl_block(rec, real):
     return hdiag + [-x for x in hdiag], e, f
 
 
-def _validate_params(rec):
-    pm = rec.param_map
-    r, s = pm.get("r", 0), pm.get("s", 0)
-    n = rec.pair.rank
-    c = rec.case_id
-    fam = rec.pair.family_id
-    ok = True
-    if fam == SLPQ:
-        p, q = rec.pair.pq
-        ok = {
-            "1.1": 1 <= r <= min(p, q),
-            "1.2": 1 <= r <= min(p, q),
-            "1.3": r >= 1 and s >= 1 and r + s <= min(p, q),
-            "1.4": q == 2 and p >= 4,
-            "1.5": p == 2 and q >= 4,
-            "1.6": r >= 0 and s >= 0 and r + s + 2 <= p and r + s + 1 <= q,
-            "1.7": r >= 0 and s >= 0 and r + s + 1 <= p and r + s + 2 <= q,
-        }.get(c, False)
-    elif fam == SP:
-        ok = {"3.1": 1 <= r <= n, "3.2": 1 <= r <= n,
-              "3.3": r >= 1 and s >= 1 and r + s <= n}.get(c, False)
-    elif fam == SO_EVEN_GL:
-        ok = {"5.1": 1 <= 2 * r <= n, "5.2": 1 <= 2 * r <= n,
-              "5.3": r >= 1 and s >= 1 and 2 * r + 2 * s <= n,
-              "5.4": n >= 4}.get(c, False)
-    else:
-        base = "2" if fam == SO_ODD else "4"
-        ok = c in {f"{base}.{i}" for i in range(1, 5)} and not pm
-        if c in (f"{base}.1", f"{base}.3") and rec.variant not in ("I", "II"):
-            ok = False
-    if not ok:
-        raise ValueError(f"parameters out of range for case {c}: {rec.orbit_id()}")
-
-
 def build_triple(rec):
     """Matrices (h, e, f) realizing the case formulas for the record."""
-    _validate_params(rec)
+    _check_catalogued(rec, rec.orbit_id())
     real = realization(rec.pair)
     if rec.pair.family_id == SLPQ:
         hdiag, e, f = _build_slpq(rec, real)

@@ -50,9 +50,6 @@ class LatticeVector:
     def scale(self, c):
         return LatticeVector(self.basis, tuple(c * a for a in self.coords))
 
-    def is_zero(self):
-        return all(a == 0 for a in self.coords)
-
 
 def _validate(type_, rank):
     if type_ not in CLASSICAL_TYPES:

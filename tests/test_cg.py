@@ -1,4 +1,6 @@
 import itertools
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -66,14 +68,153 @@ def test_projection_outside_semigroup_raises():
         cg.cg_projection(1, 1, 1)
 
 
+def flat(m, n, k, blocks):
+    """Expand rows (or injection columns) stored by weight block, entry a of
+    block j at x_a (x) x_{h+j-a}, to the flattened tensor basis a(n+1)+b."""
+    h = (m + n - k) // 2
+    out = []
+    for j, blk in enumerate(blocks):
+        vec = [0] * ((m + 1) * (n + 1))
+        for a, x in enumerate(blk):
+            if x:
+                vec[a * (n + 1) + h + j - a] = x
+        out.append(vec)
+    return out
+
+
+def tensor_f(m, n, vec):
+    """Apply f (x) 1 + 1 (x) f to a dense tensor-coordinate vector."""
+    out = [0] * len(vec)
+    for a in range(m + 1):
+        for b in range(n + 1):
+            c = vec[a * (n + 1) + b]
+            if not c:
+                continue
+            if a + 1 <= m:
+                out[(a + 1) * (n + 1) + b] += c
+            if b + 1 <= n:
+                out[a * (n + 1) + b + 1] += c
+    return out
+
+
+def tensor_e(m, n, vec):
+    out = [0] * len(vec)
+    for a in range(m + 1):
+        for b in range(n + 1):
+            c = vec[a * (n + 1) + b]
+            if not c:
+                continue
+            if a >= 1:
+                out[(a - 1) * (n + 1) + b] += c * a * (m - a + 1)
+            if b >= 1:
+                out[a * (n + 1) + b - 1] += c * b * (n - b + 1)
+    return out
+
+
+def weight_block(m, n, w):
+    """Tensor basis indices (a, b) with weight (m - 2a) + (n - 2b) = w."""
+    out = []
+    for a in range(m + 1):
+        b2 = (m + n - w) - 2 * a
+        if b2 % 2 == 0 and 0 <= b2 // 2 <= n:
+            out.append((a, b2 // 2))
+    return out
+
+
+def reference_projection(m, n, k):
+    """Reference: dense projection rows over the flattened basis.  The top
+    row is the kernel of f(block k+2) by elimination, the lower rows follow
+    the e-recursion in Fractions, then one common rescaling makes them
+    primitive integers with a positive first entry."""
+    dim = (m + 1) * (n + 1)
+    blk = weight_block(m, n, k)
+    constraints = []
+    for (a, b) in weight_block(m, n, k + 2):
+        vec = [0] * dim
+        vec[a * (n + 1) + b] = 1
+        img = tensor_f(m, n, vec)
+        constraints.append([img[x * (n + 1) + y] for (x, y) in blk])
+    if constraints:
+        red, pivots, d = linalg.echelon(constraints)
+        free = [j for j in range(len(blk)) if j not in pivots]
+        assert len(free) == 1
+        row0_blk = [0] * len(blk)
+        row0_blk[free[0]] = d
+        for rrow, p in zip(red, pivots):
+            row0_blk[p] = -rrow[free[0]]
+    else:
+        assert len(blk) == 1
+        row0_blk = [1]
+    row0 = [Fraction(0)] * dim
+    for coef, (a, b) in zip(row0_blk, blk):
+        row0[a * (n + 1) + b] = coef
+    rows = [row0]
+    for j in range(1, k + 1):
+        prev = rows[-1]
+        row = [Fraction(0)] * dim
+        for (a, b) in weight_block(m, n, k - 2 * j):
+            vec = [0] * dim
+            vec[a * (n + 1) + b] = 1
+            img = tensor_e(m, n, vec)
+            val = sum(prev[t] * img[t] for t in range(dim) if img[t])
+            row[a * (n + 1) + b] = Fraction(val, j * (k - j + 1))
+        rows.append(row)
+    den = 1
+    for r in rows:
+        for x in r:
+            den = den * x.denominator // gcd(den, x.denominator)
+    ints = [[int(x * den) for x in r] for r in rows]
+    g = 0
+    for r in ints:
+        for x in r:
+            g = gcd(g, abs(x))
+    ints = [[x // g for x in r] for r in ints]
+    if next(x for x in ints[0] if x) < 0:
+        ints = [[-x for x in r] for r in ints]
+    return ints
+
+
+def reference_injection(m, n, k, rows):
+    """Reference: dense injection columns from dense projection rows, the
+    transpose conjugated by the self-duality x_i -> (-1)^i x*_{top-i}."""
+    cols = []
+    for i in range(k + 1):
+        vec = [0] * ((m + 1) * (n + 1))
+        for c in range(m + 1):
+            for d in range(n + 1):
+                val = rows[k - i][(m - c) * (n + 1) + (n - d)]
+                if val:
+                    vec[c * (n + 1) + d] = (-1) ** (i + c + d) * val
+        cols.append(vec)
+    return cols
+
+
+def test_projection_and_injection_match_dense_reference():
+    count = 0
+    for m in range(9):
+        for n in range(9):
+            for k in range(m + n + 1):
+                if not cg.in_tensor_semigroup((m, n, k)):
+                    continue
+                count += 1
+                ref = reference_projection(m, n, k)
+                p = cg.cg_projection(m, n, k)
+                assert flat(m, n, k, p.rows) == ref, (m, n, k)
+                assert flat(m, n, k, cg.cg_injection(m, n, k)) == \
+                    reference_injection(m, n, k, ref), (m, n, k)
+                lead = ref[0][next(t for t, x in enumerate(ref[0]) if x)]
+                assert p.matrix() == [[Fraction(x, lead) for x in r] for r in ref]
+    assert count == 285
+
+
 def test_projection_equivariance_sample():
     # construction already asserts e/f intertwining; spot-check h too.
     for (m, n, k) in ((2, 2, 2), (3, 1, 2), (4, 2, 4), (3, 3, 0)):
-        p = cg.cg_projection(m, n, k)
+        rows = flat(m, n, k, cg.cg_projection(m, n, k).rows)
         for a in range(m + 1):
             for b in range(n + 1):
                 w = (m - 2 * a) + (n - 2 * b)
-                col = [p.rows[j][a * (n + 1) + b] for j in range(k + 1)]
+                col = [rows[j][a * (n + 1) + b] for j in range(k + 1)]
                 for j, val in enumerate(col):
                     if val:
                         assert k - 2 * j == w
@@ -82,17 +223,17 @@ def test_projection_equivariance_sample():
 def test_injection_equivariance():
     # iota intertwines f exactly: iota(x_{i+1}) = (f (x) 1 + 1 (x) f) iota(x_i).
     for (m, n, k) in ((2, 2, 2), (3, 1, 2), (2, 2, 0), (4, 2, 2)):
-        iota = cg.cg_injection(m, n, k)
+        iota = flat(m, n, k, cg.cg_injection(m, n, k))
         for i in range(k):
-            assert list(iota[i + 1]) == cg._tensor_f(m, n, list(iota[i]))
+            assert list(iota[i + 1]) == tensor_f(m, n, list(iota[i]))
 
 
 def test_injection_section_of_projection():
     for (m, n, k) in ((2, 2, 2), (3, 1, 2), (2, 2, 0), (4, 4, 4)):
-        iota = cg.cg_injection(m, n, k)
-        p = cg.cg_projection(m, n, k)
+        iota = flat(m, n, k, cg.cg_injection(m, n, k))
+        rows = flat(m, n, k, cg.cg_projection(m, n, k).rows)
         dim = (m + 1) * (n + 1)
-        comp = [[sum(p.rows[j][t] * iota[i][t] for t in range(dim))
+        comp = [[sum(rows[j][t] * iota[i][t] for t in range(dim))
                  for i in range(k + 1)] for j in range(k + 1)]
         diag = comp[0][0]
         assert diag != 0
@@ -214,12 +355,12 @@ def dense_product_contains(k, m, n):
     (kv, k1, k2), (m, m1, m2), (n, n1, n2) = k, m, n
     if not all(map(cg.in_tensor_semigroup, ((m, n, kv), (m1, n1, k1), (m2, n2, k2)))):
         return False
-    iota1 = cg.cg_injection(m, n, kv)
-    iota2 = cg.cg_injection(m1, n1, k1)
-    p1 = cg.cg_projection(m, m1, m2)
-    p2 = cg.cg_projection(n, n1, n2)
-    top = cg.cg_projection(m2, n2, k2).rows[0]
-    for (a, b) in cg._weight_block(kv, k1, k2):
+    iota1 = flat(m, n, kv, cg.cg_injection(m, n, kv))
+    iota2 = flat(m1, n1, k1, cg.cg_injection(m1, n1, k1))
+    rows1 = flat(m, m1, m2, cg.cg_projection(m, m1, m2).rows)
+    rows2 = flat(n, n1, n2, cg.cg_projection(n, n1, n2).rows)
+    top = flat(m2, n2, k2, cg.cg_projection(m2, n2, k2).rows)[0]
+    for (a, b) in weight_block(kv, k1, k2):
         u, v = iota1[a], iota2[b]
         total = 0
         for i in range(m + 1):
@@ -231,8 +372,8 @@ def dense_product_contains(k, m, n):
                         for al in range(m2 + 1):
                             be = (m2 + n2 - k2) // 2 - al
                             if 0 <= be <= n2:
-                                total += (ci * cj * p1.rows[al][i * (m1 + 1) + i1]
-                                          * p2.rows[be][j * (n1 + 1) + j1]
+                                total += (ci * cj * rows1[al][i * (m1 + 1) + i1]
+                                          * rows2[be][j * (n1 + 1) + j1]
                                           * top[al * (n2 + 1) + be])
         if total:
             return True

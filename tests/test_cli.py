@@ -85,6 +85,13 @@ def test_orbits_rejects_cap_below_one(cap, capsys):
     assert "--max-params must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair", ["A:5:p=x", "A:5:p="])
+def test_orbits_rejects_bad_marked_root_tag(pair, capsys):
+    assert main(["orbits", pair]) == 2
+    tag = pair.split(":")[2]
+    assert f"bad marked-root tag '{tag}' in pair key '{pair}'" in capsys.readouterr().err
+
+
 def test_triple_command(tmp_path):
     code, text = run_cli(["triple", "A:3:p=2/1.1/r=1"], tmp_path)
     assert code == 0

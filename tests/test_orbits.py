@@ -294,6 +294,17 @@ def test_orbit_id_roundtrip():
         ob.parse_orbit_id("A:5:p=3/1.4/")  # needs q = 2
 
 
+def test_build_triple_and_parse_share_the_catalog_check():
+    # not in list_orbits: a variant on case 1.1, swapped and extra parameters
+    for r in (rec("A:5:p=2", "1.1", (("r", 1),), "I"),
+              rec("A:5:p=3", "1.6", (("s", 0), ("r", 1))),
+              rec("C:3", "3.1", (("r", 1), ("s", 0)))):
+        with pytest.raises(ValueError, match="unknown orbit"):
+            ob.build_triple(r)
+        with pytest.raises(ValueError, match="unknown orbit"):
+            ob.parse_orbit_id(r.orbit_id())
+
+
 def test_triple_json_shape():
     t = ob.build_triple(rec("C:2", "3.1", (("r", 1),)))
     doc = ob.triple_to_json(t)
