@@ -134,9 +134,11 @@ def parse_pair_key(key):
         n = int(parts[1])
     except ValueError:
         raise ValueError(f"bad rank in pair key {key!r}") from None
+    size = 2 if t in ("B", "C") else 3
+    if len(parts) > size:
+        extra = ":".join(parts[size:])
+        raise ValueError(f"bad pair key {key!r}: unexpected segment {extra!r}")
     if t in ("B", "C"):
-        if len(parts) != 2:
-            raise ValueError(f"bad pair key {key!r}")
         return _make_pair_checked(t, n, 1 if t == "B" else n)
     if len(parts) != 3:
         raise ValueError(f"pair key {key!r} needs a marked root, e.g. {t}:{n}:p=1")

@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals and over GF(p).
 
 Matrices are lists of lists of ints or Fractions; nothing here ever touches
-floating point.  One fraction-free elimination kernel, `echelon`, serves
-every exact rank and solve in the package; `simplex_max` is a small
+floating point.  One fraction-free elimination kernel, `_eliminate`, works
+on sparse rows {col: value} over Q and over GF(p), with one pivot step,
+`_pivot_step`.  `rank` runs it forward only, on dense or sparse rows;
+`echelon` runs it with back-substitution and returns the dense reduced
+form that `solve` and the semigroup layer read.  `simplex_max` is a small
 rational simplex for the LP bounds of the semigroup layer.
 """
 
@@ -36,78 +39,114 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def echelon(rows, p=None):
-    """Fraction-free Gauss-Jordan elimination of integer rows.
+def _sparse_row(row, p):
+    """The nonzero entries {col: value} of a dense or dict row: reduced mod
+    p when p is given, scaled to integers by the lcm of the denominators
+    over Q."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    if p:
+        return {c: x % p for c, x in items if x % p}
+    out = {c: x for c, x in items if x}
+    if any(type(x) is not int for x in out.values()):
+        den = lcm(*(Fraction(x).denominator for x in out.values()))
+        out = {c: int(x * den) for c, x in out.items()}
+    return out
+
+
+def _eliminate(rows, p, reduced):
+    """Fraction-free elimination of rows kept sparse, {col: value}.
 
     Over Q (p is None) this is Bareiss elimination (Math. Comp. 22, 1968):
-    each step multiplies every other row by the pivot and divides exactly by
-    the previous pivot, so every entry stays an integer minor of the input,
-    up to sign.  Over GF(p) each pivot row is scaled by the pivot's inverse.
+    every entry stays an integer minor of the input, up to sign.  A row
+    that a pivot leaves untouched is not rescaled: levels[i] is the pivot
+    of the last step that changed row i, and row i times d / levels[i] is
+    its Bareiss value under the current pivot d.  Over GF(p) each pivot row
+    is scaled by the pivot's inverse and every level is 1.
+
+    With `reduced` a pivot clears its column in every other row
+    (Gauss-Jordan); without it, only in the rows below (forward only).
+    Returns (rows, pivots, levels, d): the nonzero rows in echelon order,
+    the pivot column of each, their levels and the last pivot d > 0.
+    """
+    m = [row for row in (_sparse_row(row, p) for row in rows) if row]
+    levels = [1] * len(m)
+    pivots = []
+    d = 1
+    for c in sorted(set().union(*m)):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if c in m[i]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        levels[r], levels[piv] = levels[piv], levels[r]
+        pr = m[r]
+        if p:
+            inv = pow(pr[c], -1, p)
+            pr = {j: x * inv % p for j, x in pr.items()}
+        elif levels[r] != d or pr[c] < 0:
+            # Bring the pivot row to level d.  Negating it negates one input
+            # row, so Bareiss stays exact.
+            s = d if pr[c] > 0 else -d
+            pr = {j: x * s // levels[r] for j, x in pr.items()}
+        a = pr[c]
+        m[r], levels[r] = pr, a
+        for i in range(0 if reduced else r + 1, len(m)):
+            if i != r and c in m[i]:
+                m[i] = _pivot_step(m[i], levels[i], pr, c, p)
+                levels[i] = a
+        if not all(m):
+            levels = [lv for row, lv in zip(m, levels) if row]
+            m = [row for row in m if row]
+        d = a
+        pivots.append(c)
+    return m, pivots, levels, d
+
+
+def _pivot_step(row, level, pr, c, p):
+    """row with its column c cleared by the pivot row pr.
+
+    Over GF(p), pr[c] is 1 and this is row - row[c] pr.  Over Q it is
+    (pr[c] row - row[c] pr) / level, an exact division by Bareiss."""
+    a, f = pr[c], row[c]
+    out = dict(row) if p else {j: a * x for j, x in row.items()}
+    for j, y in pr.items():
+        v = out.get(j, 0) - f * y
+        if p:
+            v %= p
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    if level != 1:
+        out = {j: x // level for j, x in out.items()}
+    return out
+
+
+def echelon(rows, p=None):
+    """Reduced row echelon form of dense rows of ints (or Fractions, over
+    Q), over Q or over GF(p) when a prime p is given.
 
     Returns (rows, pivots, d): the nonzero rows in echelon order, the pivot
     column of each, and the common positive pivot value d.  Each row holds
     d at its own pivot column and 0 at the other pivot columns, so the
     reduced row echelon form is rows / d; over GF(p), d is 1.
     """
-    m = [[x % p for x in row] if p else list(row) for row in rows]
-    m = [row for row in m if any(row)]
-    pivots = []
-    d = 1
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        if r == len(m):
-            break
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        a = m[r][c]
-        if p:
-            inv = pow(a, -1, p)
-            m[r] = [x * inv % p for x in m[r]]
-            a = 1
-        elif a < 0:
-            # Negating the pivot row negates one input row; Bareiss stays exact.
-            a = -a
-            m[r] = [-x for x in m[r]]
-        pr = m[r]
-        kept = []
-        for i, row in enumerate(m):
-            f = row[c]
-            if i == r:
-                pass
-            elif f:
-                if p:
-                    row = [(x - f * y) % p for x, y in zip(row, pr)]
-                else:
-                    row = [(a * x - f * y) // d for x, y in zip(row, pr)]
-                if not any(row):
-                    continue
-            elif a != d:
-                row = [a * x // d for x in row]
-            kept.append(row)
-        m = kept
-        d = a
-        pivots.append(c)
-    return m, pivots, d
-
-
-def _integral(row):
-    """The row scaled to integers by the lcm of its denominators."""
-    if all(type(x) is int for x in row):
-        return row
-    den = lcm(*(Fraction(x).denominator for x in row))
-    return [int(x * den) for x in row]
+    ncols = len(rows[0]) if rows else 0
+    m, pivots, levels, d = _eliminate(rows, p, reduced=True)
+    dense = [[row.get(j, 0) * d // level for j in range(ncols)]
+             for row, level in zip(m, levels)]
+    return dense, pivots, d
 
 
 def rank(rows, p=None):
     """Rank of a matrix over Q, or over GF(p) when a prime p is given.
 
-    Rational entries are allowed over Q; each row is scaled to integers.
+    Rows are dense lists or sparse dicts {col: value}; over Q the entries
+    may be Fractions.  The elimination runs forward only.
     """
-    if p is None:
-        rows = [_integral(row) for row in rows]
-    return len(echelon(rows, p)[1])
+    return len(_eliminate(rows, p, reduced=False)[1])
 
 
 def solve(a_columns, b):
@@ -119,8 +158,7 @@ def solve(a_columns, b):
     """
     ncols = len(a_columns)
     nrows = len(b)
-    aug = [_integral([a_columns[j][i] for j in range(ncols)] + [b[i]])
-           for i in range(nrows)]
+    aug = [[a_columns[j][i] for j in range(ncols)] + [b[i]] for i in range(nrows)]
     red, pivots, d = echelon(aug)
     x = [Fraction(0)] * ncols
     for row, c in zip(red, pivots):

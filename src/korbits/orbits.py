@@ -22,7 +22,8 @@ diagonals with `diagonal_weights`.
 
 Every k-, p- and Borel-basis element is a matrix unit or a signed pair of
 them, so the verification kernels work on a sparse form, a dict
-{(i, j): v} of the nonzero entries, and every product goes through `_mul`.
+{(i, j): v} of the nonzero entries.  Every bracket [x, b] goes through one
+indexed ad(x), `_ad`, and every other product through `_mul`.
 `MatrixTriple` keeps dense matrices; each kernel converts h, e and f once.
 """
 
@@ -110,7 +111,7 @@ def _sparse(m):
 def _reduced(x, p):
     """x without its zero entries, reduced mod p when p is given."""
     if p:
-        x = {ij: v % p for ij, v in x.items()}
+        return {ij: v % p for ij, v in x.items() if v % p}
     return {ij: v for ij, v in x.items() if v}
 
 
@@ -134,9 +135,26 @@ def _mul(a, b, p=None):
     return _reduced(out, p)
 
 
-def _bracket(a, b, p=None):
-    """[a, b] = ab - ba for sparse matrices, over Z or over GF(p)."""
-    return _add(_mul(a, b, p), _mul(b, a, p), -1, p)
+def _ad(x, p=None):
+    """ad(x): b -> [x, b] = xb - bx on sparse matrices, over Z or over GF(p).
+
+    The rows and columns of x are indexed once; each bracket is then one
+    pass over the entries of b."""
+    rows, cols = {}, {}
+    for (i, j), v in x.items():
+        rows.setdefault(i, []).append((j, v))
+        cols.setdefault(j, []).append((i, v))
+
+    def ad(b):
+        out = {}
+        for (k, l), u in b.items():
+            for i, v in cols.get(k, ()):      # (xb)_il += x_ik b_kl
+                out[i, l] = out.get((i, l), 0) + v * u
+            for j, v in rows.get(l, ()):      # (bx)_kj += b_kl x_lj
+                out[k, j] = out.get((k, j), 0) - u * v
+        return _reduced(out, p)
+
+    return ad
 
 
 def diagonal_weights(d, x):
@@ -180,7 +198,7 @@ class Realization:
         # coordinate, over Z and over GF(p) alike.
         anchors = [min(b.items()) for b in self.p_basis]
         assert all(v == 1 for _, v in anchors)
-        self._anchors = [ij for ij, _ in anchors]
+        self._anchor_index = {ij: k for k, (ij, _) in enumerate(anchors)}
 
     # --- SL(p+q) -----------------------------------------------------------
     def _init_slpq(self):
@@ -327,11 +345,13 @@ class Realization:
         return self.in_g(x) and diagonal_weights(self.zeta, _sparse(x)) <= {m, -m}
 
     def p_coords(self, x):
-        """Coordinates of a sparse p-element in the p-basis, read off at the
-        anchor entries (reduced mod p when x is); correctness is re-checked
-        in the test suite by reconstructing the matrix.
+        """Coordinates of a sparse p-element in the p-basis as a sparse row
+        {index: value}, read off at the anchor entries (reduced mod p when x
+        is); correctness is re-checked in the test suite by reconstructing
+        the matrix.
         """
-        return tuple(x.get(ij, 0) for ij in self._anchors)
+        index = self._anchor_index
+        return {index[ij]: v for ij, v in x.items() if ij in index}
 
 
 _REALIZATIONS = {}
@@ -792,9 +812,10 @@ def verify_triple(triple):
     """Exact checks of the normal-triple conditions; never raises."""
     h, e, f = (_sparse(m) for m in (triple.h, triple.e, triple.f))
     real = triple.realization
-    sl2 = (_bracket(h, e) == _add({}, e, 2)
-           and _bracket(h, f) == _add({}, f, -2)
-           and _bracket(e, f) == h)
+    ad_h = _ad(h)
+    sl2 = (ad_h(e) == _add({}, e, 2)
+           and ad_h(f) == _add({}, f, -2)
+           and _ad(e)(f) == h)
     return {
         "sl2_ok": sl2,
         "h_in_k": real.in_k(triple.h),
@@ -823,9 +844,8 @@ def adh_grading(triple):
 def centralizer_dim(triple):
     """(dim K_e, dim Ke): kernel and image of ad(e) restricted to k."""
     real = triple.realization
-    e = _sparse(triple.e)
-    rows = [real.p_coords(_bracket(x, e)) for x in real.k_basis]
-    orbit = linalg.rank(rows)
+    ad_e = _ad(_sparse(triple.e))
+    orbit = linalg.rank([real.p_coords(ad_e(x)) for x in real.k_basis])
     return real.k_dim - orbit, orbit
 
 
@@ -861,8 +881,8 @@ def _generic_borel_rank_modp(triple, rng, p):
             nil = _add(nil, b, rng.randint(1, 9))
         g, ginv = _exp_pair_modp(nil, real.dim, p)
         x = _mul(_mul(g, x, p), ginv, p)
-    rows = [real.p_coords(_bracket(b, x, p)) for b in real.borel_basis]
-    return linalg.rank(rows, p)
+    ad_x = _ad(x, p)
+    return linalg.rank([real.p_coords(ad_x(b)) for b in real.borel_basis], p)
 
 
 def is_spherical(triple):
@@ -897,14 +917,14 @@ def p_height(triple):
     (ad e)^(2N-1) = 0.
     """
     real = triple.realization
-    e = _sparse(triple.e)
+    ad_e = _ad(_sparse(triple.e))
     best = 0
     for y in real.p_basis:
         n = 0
         while y:
             if n == 2 * real.dim - 1:
                 raise ValueError("e is not nilpotent: (ad e)^(2N-1) p != 0")
-            y = _bracket(e, y)
+            y = ad_e(y)
             n += 1
         best = max(best, n - 1)
     return best
@@ -921,7 +941,10 @@ def jordan_type(e):
     while power:
         if len(ranks) == n:
             raise ValueError("e is not nilpotent: e^N != 0")
-        ranks.append(linalg.rank(_dense(power, n)))
+        rows = {}
+        for (i, j), v in power.items():
+            rows.setdefault(i, {})[j] = v
+        ranks.append(linalg.rank(list(rows.values())))
         power = _mul(power, e)
     ranks.append(0)
     parts = []

@@ -92,6 +92,15 @@ def test_orbits_rejects_bad_marked_root_tag(pair, capsys):
     assert f"bad marked-root tag '{tag}' in pair key '{pair}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair, extra", [("A:3:p=2:x", "x"), ("D:5:vec:p=1:y", "p=1:y"),
+                                         ("B:4:x", "x")])
+def test_orbits_rejects_extra_pair_key_segment(pair, extra, capsys):
+    assert main(["orbits", pair]) == 2
+    err = capsys.readouterr().err
+    assert f"bad pair key '{pair}': unexpected segment '{extra}'" in err
+    assert "marked root" not in err
+
+
 def test_triple_command(tmp_path):
     code, text = run_cli(["triple", "A:3:p=2/1.1/r=1"], tmp_path)
     assert code == 0

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,27 @@ def reference_rref(rows):
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return m[:len(pivots)], pivots
+
+
+def reference_rank_mod_p(rows, p):
+    """Textbook Gaussian elimination over GF(p)."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] * inv % p
+            m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def sparse(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
 @st.composite
@@ -85,7 +108,7 @@ def test_echelon_matches_fraction_reference(rows):
     assert pivots == ref_pivots
     assert d > 0
     assert [[Fraction(x, d) for x in row] for row in red] == ref
-    assert linalg.rank(rows) == len(ref_pivots)
+    assert linalg.rank(rows) == linalg.rank(sparse(rows)) == len(ref_pivots)
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,6 +119,7 @@ def test_rank_mod_p_at_most_rank_over_q(rows):
         red, pivots, d = linalg.echelon(rows, p)
         assert d == 1 and all(row[c] == 1 for row, c in zip(red, pivots))
         assert linalg.rank(rows, p) == len(pivots) <= rank_q
+        assert linalg.rank(sparse(rows), p) == len(pivots) == reference_rank_mod_p(rows, p)
 
 
 @settings(max_examples=200, deadline=None)
@@ -118,3 +142,28 @@ def test_solve_matches_fraction_reference(columns, data):
         for row, c in zip(ref, pivots):
             expected[c] = row[-1]
     assert linalg.solve(columns, b) == expected
+
+
+def sparse_rank_deficient(rng, nrows=40, ncols=80, rank=25, density=0.1):
+    """nrows x ncols integer rows, about `density` nonzero, entries up to
+    10^6: `rank` random rows, then combinations of two of them, shuffled."""
+    base = [[rng.randint(-10**6, 10**6) if rng.random() < density else 0
+             for _ in range(ncols)] for _ in range(rank)]
+    rows = base + [[a * x + b * y for x, y in zip(*rng.sample(base, 2))]
+                   for a, b in ((rng.randint(-9, 9), rng.randint(1, 9))
+                                for _ in range(nrows - rank))]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_of_large_sparse_rank_deficient_matrices(seed):
+    rows = sparse_rank_deficient(random.Random(seed))
+    ref, ref_pivots = reference_rref(rows)
+    assert len(ref_pivots) <= 25
+    assert linalg.rank(rows) == linalg.rank(sparse(rows)) == len(ref_pivots)
+    rank_p = reference_rank_mod_p(rows, PRIME)
+    assert linalg.rank(rows, PRIME) == linalg.rank(sparse(rows), PRIME) == rank_p
+    red, pivots, d = linalg.echelon(rows)
+    assert pivots == ref_pivots
+    assert [[Fraction(x, d) for x in row] for row in red] == ref

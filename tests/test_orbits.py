@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,9 +147,11 @@ def test_p_coords_reconstruction():
         x = {}
         for i, b in enumerate(real.p_basis):
             x = ob._add(x, b, (i % 3) - 1)
+        coords = real.p_coords(x)
+        assert all(coords.values())
         rebuilt = {}
-        for c, b in zip(real.p_coords(x), real.p_basis):
-            rebuilt = ob._add(rebuilt, b, c)
+        for k, c in coords.items():
+            rebuilt = ob._add(rebuilt, real.p_basis[k], c)
         assert rebuilt == x
 
 
@@ -182,9 +186,25 @@ def test_sparse_bracket_matches_dense(ab):
     a, b = ab
     n = len(a)
     want = linalg.commutator(a, b)
-    assert dense(ob._bracket(ob._sparse(a), ob._sparse(b)), n, n) == want
-    got = ob._bracket(ob._sparse(a), ob._sparse(b), PRIME)
+    assert dense(ob._ad(ob._sparse(a))(ob._sparse(b)), n, n) == want
+    got = ob._ad(ob._sparse(a), PRIME)(ob._sparse(b))
     assert dense(got, n, n) == [[v % PRIME for v in row] for row in want]
+
+
+def test_indexed_ad_matches_dense_commutator_on_bases():
+    # One ad(x) per pair, applied to every k-, p- and Borel-basis element.
+    rng = random.Random(8)
+    for key in ("A:5:p=2", "B:4", "C:3", "D:5:p=1", "D:6:p=6"):
+        real = ob.realization(parse_pair_key(key))
+        n = real.dim
+        x = {}
+        for b in real.k_basis + real.p_basis:
+            x = ob._add(x, b, rng.randint(-(1 << 70), 1 << 70))
+        ad_z, ad_p = ob._ad(x), ob._ad(x, PRIME)
+        for b in real.k_basis + real.p_basis + real.borel_basis:
+            want = linalg.commutator(dense(x, n, n), dense(b, n, n))
+            assert dense(ad_z(b), n, n) == want
+            assert dense(ad_p(b), n, n) == [[v % PRIME for v in row] for row in want]
 
 
 def test_is_spherical_true_on_listed_orbits():
