@@ -15,15 +15,18 @@ Matrix conventions per family (all bases ordered as in the case formulas):
   and phi_a ^ phi_b -> E_ba - E_ab; the listed sums always produce integer
   matrices.
 
-The central cocharacter zeta (= m omega_p^vee, kept as its diagonal) acts
-with eigenvalues +m on p1 and -m on p2, which is how p-elements are split.
-h is diagonal too, so every ad(h) and ad(zeta) bracket is read off the
-diagonals with `diagonal_weights`.
+A realization keeps only the k- and p-bases; the Borel subalgebra and its
+plus and minus parts are read off the k-basis, and membership in g, k and
+p is an elimination against the bases.  The central cocharacter zeta
+(= m omega_p^vee, kept as its diagonal) acts with eigenvalues +m on p1 and
+-m on p2; it only gives the bicone charges.  h is diagonal too, so every
+ad(h) and ad(zeta) bracket is read off the diagonals with
+`diagonal_weights`.
 
-Every k-, p- and Borel-basis element is a matrix unit or a signed pair of
-them, so the verification kernels work on a sparse form, a dict
-{(i, j): v} of the nonzero entries.  Every bracket [x, b] goes through one
-indexed ad(x), `_ad`, and every other product through `_mul`.
+Every basis element is a matrix unit or a signed pair of them, so the
+verification kernels work on a sparse form, a dict {(i, j): v} of the
+nonzero entries.  Every bracket [x, b] goes through one indexed ad(x),
+`_ad`, and every other product through `_mul`.
 `MatrixTriple` keeps dense matrices; each kernel converts h, e and f once.
 """
 
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .hermitian import (SLPQ, SO_EVEN_GL, SO_EVEN_VECTOR, SO_ODD, SP,
@@ -179,50 +181,49 @@ def _diagonal(h):
 
 
 class Realization:
-    """Concrete matrix model of one Hermitian pair; the k-, p-, Borel and
-    big-cell bases are kept in the sparse form."""
+    """Concrete matrix model of one Hermitian pair: the k- and p-bases in
+    the sparse form, zeta and the dimension of the defining representation.
+
+    Each basis element has entry +-1 at its first nonzero position in
+    row-major order (its anchor), and no later element of k_basis + p_basis
+    is nonzero there.  The Borel, plus and minus lists are the k-basis
+    elements anchored on or above, strictly above and strictly below the
+    diagonal, and membership in g, k and p is one elimination.
+    """
 
     def __init__(self, spec):
         self.spec = spec
-        self.family = spec.family_id
-        f = spec.family_id
-        if f == SLPQ:
+        if spec.family_id == SLPQ:
             self._init_slpq()
-        elif f in (SO_ODD, SO_EVEN_VECTOR):
+        elif spec.family_id in (SO_ODD, SO_EVEN_VECTOR):
             self._init_so_vector()
         else:
             self._init_gl_block()
         self.k_dim = len(self.k_basis)
+        anchors = [min(b) for b in self.k_basis]
+        self.borel_basis = [b for b, (i, j) in zip(self.k_basis, anchors) if i <= j]
+        self.plus_basis = [b for b, (i, j) in zip(self.k_basis, anchors) if i < j]
+        self.minus_basis = [b for b, (i, j) in zip(self.k_basis, anchors) if i > j]
         # p-basis elements have pairwise disjoint supports and entry 1 at
-        # their first nonzero position, so a p-element's entry there is its
-        # coordinate, over Z and over GF(p) alike.
-        anchors = [min(b.items()) for b in self.p_basis]
-        assert all(v == 1 for _, v in anchors)
-        self._anchor_index = {ij: k for k, (ij, _) in enumerate(anchors)}
+        # their anchor, so a p-element's entry there is its coordinate, over
+        # Z and over GF(p) alike.
+        assert all(b[min(b)] == 1 for b in self.p_basis)
+        self._anchor_index = {min(b): k for k, b in enumerate(self.p_basis)}
 
     # --- SL(p+q) -----------------------------------------------------------
     def _init_slpq(self):
         p, q = self.spec.pq
         n = p + q
         self.dim = n
-        kb, bor, plus, minus = [], [], [], []
+        kb = []
         for lo, hi in ((0, p), (p, n)):
             for a in range(lo, hi):
                 for b in range(lo, hi):
                     if a != b:
-                        m = {(a, b): 1}
-                        kb.append(m)
-                        (bor if a < b else minus).append(m)
-                        if a < b:
-                            plus.append(m)
+                        kb.append({(a, b): 1})
         for i in range(n - 1):
-            m = {(i, i): 1, (i + 1, i + 1): -1}
-            kb.append(m)
-            bor.append(m)
+            kb.append({(i, i): 1, (i + 1, i + 1): -1})
         self.k_basis = kb
-        self.borel_basis = bor
-        self.plus_basis = plus
-        self.minus_basis = minus
         self.p_basis = ([{(a, p + b): 1} for a in range(p) for b in range(q)]
                         + [{(p + b, a): 1} for a in range(p) for b in range(q)])
         # zeta = m * omega_p^vee: integral because m clears the denominators.
@@ -232,32 +233,20 @@ class Realization:
     # --- SO(2n+1) and SO(2n), vector cases ----------------------------------
     def _init_so_vector(self):
         n = self.spec.rank
-        odd = self.family == SO_ODD
+        odd = self.spec.family_id == SO_ODD
         labels = list(range(1, n)) + ([0] if odd else []) + list(range(-n + 1, 0))
         self.v_labels = labels
         self.v_pos = {lab: i for i, lab in enumerate(labels)}
         nv = len(labels)
         self.nv = nv
         self.dim = nv + 2
-        kb, bor, plus, minus = [], [], [], []
+        kb = []
         # so(V) for the antidiagonal Gram: J * (skew matrices).
         for a in range(nv):
             for b in range(a + 1, nv):
-                m = {(nv - 1 - a, b): 1, (nv - 1 - b, a): -1}
-                kb.append(m)
-                if a + b >= nv - 1:
-                    bor.append(m)
-                if a + b > nv - 1:
-                    plus.append(m)
-                elif a + b < nv - 1:
-                    minus.append(m)
-        w = {(nv, nv): 1, (nv + 1, nv + 1): -1}
-        kb.append(w)
-        bor.append(w)
+                kb.append({(nv - 1 - a, b): 1, (nv - 1 - b, a): -1})
+        kb.append({(nv, nv): 1, (nv + 1, nv + 1): -1})
         self.k_basis = kb
-        self.borel_basis = bor
-        self.plus_basis = plus
-        self.minus_basis = minus
         self.p_basis = [self.p_elem({lab: 1}, s) for s in (-1, 1) for lab in labels]
         self.zeta = (0,) * nv + (self.spec.m, -self.spec.m)
 
@@ -276,24 +265,13 @@ class Realization:
     # --- Sp(2n) and SO(2n)/GL(n) ---------------------------------------------
     def _init_gl_block(self):
         n = self.spec.rank
-        self.n = n
         self.dim = 2 * n
-        sym = self.family == SP
-        kb, bor, plus, minus = [], [], [], []
+        sym = self.spec.family_id == SP
+        kb = []
         for a in range(n):
             for b in range(n):
-                m = {(a, b): 1, (n + b, n + a): -1}
-                kb.append(m)
-                if a <= b:
-                    bor.append(m)
-                if a < b:
-                    plus.append(m)
-                elif a > b:
-                    minus.append(m)
+                kb.append({(a, b): 1, (n + b, n + a): -1})
         self.k_basis = kb
-        self.borel_basis = bor
-        self.plus_basis = plus
-        self.minus_basis = minus
         pb = []
         for upper in (True, False):
             for a in range(n):
@@ -305,44 +283,14 @@ class Realization:
         self.zeta = (half,) * n + (-half,) * n
 
     # --- structural membership ------------------------------------------------
-    def gram(self):
-        nv = self.nv
-        g = [[0] * self.dim for _ in range(self.dim)]
-        for a in range(nv):
-            g[a][nv - 1 - a] = 1
-        g[nv][nv + 1] = g[nv + 1][nv] = 1
-        return g
-
     def in_g(self, x):
-        f = self.family
-        n = getattr(self, "n", None)
-        if f == SLPQ:
-            return sum(x[i][i] for i in range(self.dim)) == 0
-        if f in (SO_ODD, SO_EVEN_VECTOR):
-            # x^t G + G x = 0, where the Gram matrix G has one 1 per row, at s(i)
-            s = [row.index(1) for row in self.gram()]
-            return all(x[s[j]][i] == -x[s[i]][j]
-                       for i in range(self.dim) for j in range(self.dim))
-        # gl-block families: A-blocks opposite transposes, S/T symmetric or skew
-        sgn = 1 if f == SP else -1
-        for i in range(n):
-            for j in range(n):
-                if x[i][j] != -x[n + j][n + i]:
-                    return False
-                if x[i][n + j] != sgn * x[j][n + i]:
-                    return False
-                if x[n + i][j] != sgn * x[n + j][i]:
-                    return False
-        return True
+        return _in_span(_sparse(x), self.k_basis + self.p_basis)
 
     def in_k(self, x):
-        """x lies in g and ad(zeta) kills it."""
-        return self.in_g(x) and diagonal_weights(self.zeta, _sparse(x)) <= {0}
+        return _in_span(_sparse(x), self.k_basis)
 
     def in_p(self, x):
-        """x lies in g and ad(zeta) acts on it by +-m."""
-        m = self.spec.m
-        return self.in_g(x) and diagonal_weights(self.zeta, _sparse(x)) <= {m, -m}
+        return _in_span(_sparse(x), self.p_basis)
 
     def p_coords(self, x):
         """Coordinates of a sparse p-element in the p-basis as a sparse row
@@ -352,6 +300,19 @@ class Realization:
         """
         index = self._anchor_index
         return {index[ij]: v for ij, v in x.items() if ij in index}
+
+
+def _in_span(x, basis):
+    """Whether the sparse x lies in the span of the basis.
+
+    Each element has entry +-1 at its anchor and no later element is
+    nonzero there, so subtracting each element in turn, scaled to clear
+    its anchor, leaves 0 exactly when x is in the span."""
+    for b in basis:
+        ij = min(b)
+        if x.get(ij):
+            x = _add(x, b, -x[ij] * b[ij])
+    return not x
 
 
 _REALIZATIONS = {}
@@ -685,7 +646,7 @@ def _build_so_vector(rec, real):
         hv = {1: 2, -1: -2}
         hw = (0, 0)
     elif case == "3":
-        if real.family == SO_ODD:
+        if rec.pair.family_id == SO_ODD:
             e = pe({0: 1}, -1 if var == "I" else 1)
             f = pe({0: -2}, 1 if var == "I" else -1)
         else:
@@ -709,13 +670,16 @@ def _embed(block, n, upper):
 
 
 def _sym_terms(pairs):
-    """sum e_a e_b over (a, b) in pairs, as a sparse symmetric block."""
+    """sum e_a e_b over (a, b) in pairs, as a sparse symmetric block.
+
+    e_a e_b -> (E_ab + E_ba)/2: both orientations are counted and the
+    counts halved, which the listed sums keep even."""
     m = {}
     for a, b in pairs:
         for ij in ((a - 1, b - 1), (b - 1, a - 1)):
-            m[ij] = m.get(ij, 0) + Fraction(1, 2)
-    assert all(v.denominator == 1 for v in m.values())
-    return {ij: int(v) for ij, v in m.items()}
+            m[ij] = m.get(ij, 0) + 1
+    assert all(v % 2 == 0 for v in m.values())
+    return {ij: v // 2 for ij, v in m.items()}
 
 
 def _wedge_terms(pairs, dual, scale=1):
@@ -728,7 +692,7 @@ def _wedge_terms(pairs, dual, scale=1):
 
 
 def _build_gl_block(rec, real):
-    n = real.n
+    n = rec.pair.rank
     pm = rec.param_map
     r, s = pm.get("r", 0), pm.get("s", 0)
     case = rec.case_id

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korbits import orbits as ob
-from korbits.hermitian import parse_pair_key
+from korbits.hermitian import (SLPQ, SO_EVEN_VECTOR, SO_ODD, SP, enumerate_pairs,
+                               parse_pair_key)
 from korbits import linalg
 
 PRIME = (1 << 61) - 1
@@ -109,6 +110,111 @@ def test_k_p_membership():
         mixed = linalg.mat_add(t.h, t.e)
         assert real.in_g(mixed)
         assert not real.in_k(mixed) and not real.in_p(mixed)
+
+
+def sweep_pairs(max_rank):
+    """The acceptance sweep's pairs: every type A pair, B, C, and the D
+    pairs marked at alpha_1 and alpha_n."""
+    pairs = [spec for n in range(1, max_rank + 1) for spec in enumerate_pairs("A", n)]
+    pairs += [enumerate_pairs("B", n)[0] for n in range(3, max_rank + 1)]
+    pairs += [enumerate_pairs("C", n)[0] for n in range(2, max_rank + 1)]
+    pairs += [spec for n in range(4, max_rank + 1) for spec in enumerate_pairs("D", n)
+              if spec.p_index in (1, n)]
+    return pairs
+
+
+def span_rank(basis, n):
+    """Dimension of the span of sparse n x n matrices, over Q."""
+    return linalg.rank([{i * n + j: v for (i, j), v in b.items()} for b in basis])
+
+
+def test_borel_split_partitions_k_and_is_closed():
+    for spec in sweep_pairs(8):
+        real = ob.realization(spec)
+        n = real.dim
+        items = lambda basis: sorted(tuple(sorted(b.items())) for b in basis)
+        diag = [b for b in real.k_basis if all(i == j for i, j in b)]
+        parts = items(real.plus_basis + real.minus_basis + diag)
+        assert parts == items(real.k_basis), spec.key()
+        assert len(set(parts)) == real.k_dim
+        assert len(real.plus_basis) == len(real.minus_basis)
+        assert items(real.borel_basis) == items(real.plus_basis + diag)
+        for basis in (real.borel_basis, real.plus_basis, real.minus_basis):
+            brackets = [ob._ad(a)(b) for i, a in enumerate(basis) for b in basis[i + 1:]]
+            assert span_rank(basis, n) == len(basis)
+            assert span_rank(basis + brackets, n) == len(basis), spec.key()
+
+
+def reference_form(real):
+    """The bilinear form G with x^T G + G x = 0 on g, or None for sl(p+q)."""
+    n, family = real.dim, real.spec.family_id
+    if family == SLPQ:
+        return None
+    g = [[0] * n for _ in range(n)]
+    if family in (SO_ODD, SO_EVEN_VECTOR):
+        nv = n - 2      # antidiagonal Gram on V, then on W
+        for a in range(nv):
+            g[a][nv - 1 - a] = 1
+        g[nv][nv + 1] = g[nv + 1][nv] = 1
+    else:           # symplectic form for Sp(2n), split symmetric for SO(2n)/GL(n)
+        h = n // 2
+        for i in range(h):
+            g[i][h + i] = 1
+            g[h + i][i] = -1 if family == SP else 1
+    return g
+
+
+def reference_membership(real, x):
+    """(in g, in k, in p) of a dense matrix x from the defining equations
+    of g and the zeta-weights: 0 on k, +-m on p."""
+    n = len(x)
+    form = reference_form(real)
+    if form is None:
+        in_g = sum(x[i][i] for i in range(n)) == 0
+    else:
+        xt = [list(col) for col in zip(*x)]
+        in_g = not any(map(any, linalg.mat_add(linalg.mat_mul(xt, form),
+                                              linalg.mat_mul(form, x))))
+    z, m = real.zeta, real.spec.m
+    weights = {z[i] - z[j] for i in range(n) for j in range(n) if x[i][j]}
+    return in_g, in_g and weights <= {0}, in_g and weights <= {m, -m}
+
+
+def test_membership_matches_defining_equations():
+    rng = random.Random(9)
+    for key in ("A:5:p=2", "A:4:p=4", "B:4", "C:3", "D:5:p=1", "D:6:p=6", "D:5:p=4"):
+        real = ob.realization(parse_pair_key(key))
+        n = real.dim
+
+        def combo(basis):
+            x = {}
+            for b in basis:
+                if rng.random() < 0.4:
+                    x = ob._add(x, b, rng.randint(-3, 3))
+            return x
+
+        mats = []
+        for _ in range(20):
+            k, p = combo(real.k_basis), combo(real.p_basis)
+            arbitrary = {(rng.randrange(n), rng.randrange(n)): rng.randint(-2, 2)
+                         for _ in range(rng.randint(1, 4))}
+            kp = ob._add(k, p)
+            nudged = dict(kp)
+            nudged[rng.randrange(n), rng.randrange(n)] = rng.randint(-2, 2)
+            mats += [k, p, kp, arbitrary, nudged]
+        mats += [{(j, i): v for (i, j), v in x.items()} for x in list(mats)]
+        for r in ob.list_orbits(real.spec):
+            t = ob.build_triple(r)
+            mats += [ob._sparse(m) for m in (t.h, t.e, t.f)]
+        seen = set()
+        for x in mats:
+            d = dense(x, n, n)
+            want = reference_membership(real, d)
+            assert (real.in_g(d), real.in_k(d), real.in_p(d)) == want, (key, x)
+            seen.add(want)
+        # every verdict that can occur does: g only, k, p and outside g
+        assert seen >= {(True, False, False), (True, True, False),
+                        (True, False, True), (False, False, False)}, key
 
 
 def test_adh_grading_symmetry_and_total():
