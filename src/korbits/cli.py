@@ -4,7 +4,8 @@ Identical invocations produce byte-identical files: all data is emitted in
 canonical order with sorted keys and no timestamps; run metadata (tool
 version, command, parameters) lives in a separate header object.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
+(including a --max-degree below the degree of a case's closed forms).
 """
 
 from __future__ import annotations
@@ -93,10 +94,23 @@ def _case_params(args):
     return params
 
 
+def _closed_forms(case, params, max_degree):
+    """The case's closed-form generators; exit 2 if max_degree is below
+    their top degree, where the truncated enumeration could not match."""
+    closed = closed_form_generators(case, params)
+    need = max(g.n1 + g.n2 for g in closed)
+    if max_degree < need:
+        shown = ", ".join(f"{k}={v}" for k, v in params.items())
+        raise SystemExit(f"error: the closed forms of case {case} ({shown}) reach degree "
+                         f"{need}; --max-degree {max_degree} cuts them off, "
+                         f"give --max-degree {need} or more")
+    return closed
+
+
 def _cmd_semigroup(args):
     params = _case_params(args)
     system = build_case_system(args.case, params)
-    closed = closed_form_generators(args.case, params)
+    closed = _closed_forms(args.case, params, args.max_degree)
     enum = gamma_semigroup(system, args.max_degree)
     match = sorted(g.key() for g in enum) == sorted(g.key() for g in closed)
     lat = semigroup.lattice(system)
@@ -156,6 +170,10 @@ def _cmd_cg_verify(args):
 
 
 def _cmd_report_all(args):
+    semigroup_cases = [(case, params, _closed_forms(case, params, args.max_degree))
+                       for case, params in (("1.4", {"p": 5}), ("1.5", {"q": 5}),
+                                            ("1.6", {"p": 4, "q": 4, "r": 1, "s": 1}),
+                                            ("1.7", {"p": 4, "q": 4, "r": 1, "s": 1}))]
     status = 0
     sections = {}
     for t, n in (("A", 4), ("B", 3), ("C", 2), ("D", 5)):
@@ -165,12 +183,9 @@ def _cmd_report_all(args):
             sections[f"orbits/{spec.key()}"] = [row for row, _ in checked]
             if not all(ok for _, ok in checked):
                 status = 1
-    for case, params in (("1.4", {"p": 5}), ("1.5", {"q": 5}),
-                         ("1.6", {"p": 4, "q": 4, "r": 1, "s": 1}),
-                         ("1.7", {"p": 4, "q": 4, "r": 1, "s": 1})):
+    for case, params, closed in semigroup_cases:
         system = build_case_system(case, params)
         enum = gamma_semigroup(system, args.max_degree)
-        closed = closed_form_generators(case, params)
         match = sorted(g.key() for g in enum) == sorted(g.key() for g in closed)
         normal = normality_check(system)["normal"]
         sections[f"semigroup/{case}"] = {

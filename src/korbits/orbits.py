@@ -15,6 +15,10 @@ Matrix conventions per family (all bases ordered as in the case formulas):
   and phi_a ^ phi_b -> E_ba - E_ab; the listed sums always produce integer
   matrices.
 
+For x = 1, 3, 5, case x.1 (2^r) is case x.3 (2^r, -2^s) with s = 0 and
+case x.2 (-2^r) is x.3 with r = 0, so only the x.3 formulas are written
+down.  Cases 2.y and 4.y share one table in dim V = 2n-1 or 2n-2.
+
 A realization keeps only the k- and p-bases; the Borel subalgebra and its
 plus and minus parts are read off the k-basis, and membership in g, k and
 p is an elimination against the bases.  The central cocharacter zeta
@@ -59,7 +63,51 @@ class OrbitRecord:
         return "/".join(parts)
 
     def signed_partition(self):
-        return _signed_partition(self)
+        """(part, sign, multiplicity) of each row length of the signed Young
+        diagram, zero multiplicities left out."""
+        case, r, s = _two_sided(self)
+        n = self.pair.rank
+        family = self.pair.family_id
+        if family == SLPQ:
+            p, q = self.pair.pq
+            rows = {
+                "1.3": [(2, "+", r), (2, "-", s), (1, "+", p - r - s), (1, "-", q - r - s)],
+                "1.4": [(3, "+", 2), (1, "+", p - 4)],
+                "1.5": [(3, "-", 2), (1, "-", q - 4)],
+                "1.6": [(3, "+", 1), (2, "+", r), (2, "-", s),
+                        (1, "+", p - r - s - 2), (1, "-", q - r - s - 1)],
+                "1.7": [(3, "-", 1), (2, "+", r), (2, "-", s),
+                        (1, "+", p - r - s - 1), (1, "-", q - r - s - 2)],
+            }[case]
+        elif family in (SO_ODD, SO_EVEN_VECTOR):
+            v = 2 * n - (1 if family == SO_ODD else 2)  # dim V
+            rows = {
+                "1": [(2, "+", 2), (1, "+", v - 2)],
+                "2": [(3, "+", 1), (1, "+", v - 2), (1, "-", 1)],
+                "3": [(3, "-", 1), (1, "+", v - 1)],
+                "4": [(3, "+", 2), (1, "+", v - 4)],
+            }[case.split(".")[1]]
+        elif family == SP:
+            rows = [(2, "+", r), (2, "-", s), (1, "+", 2 * n - 2 * r - 2 * s)]
+        elif case == "5.3":
+            rows = [(2, "+", r), (2, "-", s), (1, "+", n - 2 * r - 2 * s)]
+        else:
+            rows = [(3, "+", 1), (1, "+", n - 3)]
+        return tuple((a, sg, m) for a, sg, m in rows if m > 0)
+
+
+def _two_sided(rec):
+    """(case, r, s) of the formulas that cover the record.
+
+    For x = 1, 3, 5, case x.1 (2^r) is case x.3 (2^r, -2^s) with s = 0 and
+    case x.2 (-2^r) is x.3 with r = 0; every other record keeps its case."""
+    pm = rec.param_map
+    r, s = pm.get("r", 0), pm.get("s", 0)
+    family, sub = rec.case_id.split(".")
+    if family in ("1", "3", "5") and sub in ("1", "2"):
+        r, s = (r, 0) if sub == "1" else (0, r)
+        return f"{family}.3", r, s
+    return rec.case_id, r, s
 
 
 @dataclass(frozen=True)
@@ -403,55 +451,6 @@ def list_orbits(pair, max_params=None):
     return _list_gl_block(pair, cap)
 
 
-def _signed_partition(rec):
-    pm = rec.param_map
-    r, s = pm.get("r", 0), pm.get("s", 0)
-    case = rec.case_id
-    n = rec.pair.rank
-    if rec.pair.family_id == SLPQ:
-        p, q = rec.pair.pq
-        table = {
-            "1.1": [(2, "+", r), (1, "+", p - r), (1, "-", q - r)],
-            "1.2": [(2, "-", r), (1, "+", p - r), (1, "-", q - r)],
-            "1.3": [(2, "+", r), (2, "-", s), (1, "+", p - r - s), (1, "-", q - r - s)],
-            "1.4": [(3, "+", 2), (1, "+", p - 4)],
-            "1.5": [(3, "-", 2), (1, "-", q - 4)],
-            "1.6": [(3, "+", 1), (2, "+", r), (2, "-", s),
-                    (1, "+", p - r - s - 2), (1, "-", q - r - s - 1)],
-            "1.7": [(3, "-", 1), (2, "+", r), (2, "-", s),
-                    (1, "+", p - r - s - 1), (1, "-", q - r - s - 2)],
-        }
-    elif rec.pair.family_id == SO_ODD:
-        table = {
-            "2.1": [(2, "+", 2), (1, "+", 2 * n - 3)],
-            "2.2": [(3, "+", 1), (1, "+", 2 * n - 3), (1, "-", 1)],
-            "2.3": [(3, "-", 1), (1, "+", 2 * n - 2)],
-            "2.4": [(3, "+", 2), (1, "+", 2 * n - 5)],
-        }
-    elif rec.pair.family_id == SO_EVEN_VECTOR:
-        table = {
-            "4.1": [(2, "+", 2), (1, "+", 2 * n - 4)],
-            "4.2": [(3, "+", 1), (1, "+", 2 * n - 4), (1, "-", 1)],
-            "4.3": [(3, "-", 1), (1, "+", 2 * n - 3)],
-            "4.4": [(3, "+", 2), (1, "+", 2 * n - 6)],
-        }
-    elif rec.pair.family_id == SP:
-        table = {
-            "3.1": [(2, "+", r), (1, "+", 2 * n - 2 * r)],
-            "3.2": [(2, "-", r), (1, "+", 2 * n - 2 * r)],
-            "3.3": [(2, "+", r), (2, "-", s), (1, "+", 2 * n - 2 * r - 2 * s)],
-        }
-    else:
-        table = {
-            "5.1": [(2, "+", r), (1, "+", n - 2 * r)],
-            "5.2": [(2, "-", r), (1, "+", n - 2 * r)],
-            "5.3": [(2, "+", r), (2, "-", s), (1, "+", n - 2 * r - 2 * s)],
-            "5.4": [(3, "+", 1), (1, "+", n - 3)],
-        }
-    parts = [(a, sg, m) for a, sg, m in table[case] if m > 0]
-    return tuple(parts)
-
-
 # Cases with max{n : (ad e)^n p != 0} equal to 3; all others give 2.  The
 # values are per-case constants, independent of the parameters.
 HEIGHT_THREE_CASES = {"1.4", "1.5", "1.6", "1.7", "2.4", "4.4", "5.4"}
@@ -463,15 +462,11 @@ def expected_p_height(rec):
 
 def expected_dims(rec):
     """(dim L = dim K_h, dim L_e, unipotent deficit of K_e inside Q^u)."""
-    pm = rec.param_map
-    r, s = pm.get("r", 0), pm.get("s", 0)
+    c, r, s = _two_sided(rec)
     n = rec.pair.rank
-    c = rec.case_id
-    if rec.pair.family_id == SLPQ:
+    family = rec.pair.family_id
+    if family == SLPQ:
         p, q = rec.pair.pq
-        if c in ("1.1", "1.2"):
-            return (2 * r * r + (p - r) ** 2 + (q - r) ** 2 - 1,
-                    r * r + (p - r) ** 2 + (q - r) ** 2 - 1, 0)
         if c == "1.3":
             return (2 * r * r + 2 * s * s + (p - r - s) ** 2 + (q - r - s) ** 2 - 1,
                     r * r + s * s + (p - r - s) ** 2 + (q - r - s) ** 2 - 1, 0)
@@ -482,35 +477,23 @@ def expected_dims(rec):
             return (2 * r * r + 2 * s * s + (p - r - s - 2) ** 2 + (q - r - s) ** 2 + 1,
                     r * r + s * s + (p - r - s - 2) ** 2 + (q - r - s - 1) ** 2,
                     r + s)
-        if c == "1.7":
-            return (2 * r * r + 2 * s * s + (q - r - s - 2) ** 2 + (p - r - s) ** 2 + 1,
-                    r * r + s * s + (q - r - s - 2) ** 2 + (p - r - s - 1) ** 2,
-                    r + s)
-    if rec.pair.family_id == SO_ODD:
+        return (2 * r * r + 2 * s * s + (q - r - s - 2) ** 2 + (p - r - s) ** 2 + 1,
+                r * r + s * s + (q - r - s - 2) ** 2 + (p - r - s - 1) ** 2,
+                r + s)
+    if family in (SO_ODD, SO_EVEN_VECTOR):
+        v = 2 * n - (1 if family == SO_ODD else 2)  # dim V
         so = lambda k: k * (k - 1) // 2
         return {
-            "2.1": (2 + so(2 * n - 3), 1 + so(2 * n - 3), 0),
-            "2.2": (2 + so(2 * n - 3), so(2 * n - 3), 0),
-            "2.3": (1 + so(2 * n - 1), so(2 * n - 2), 0),
-            "2.4": (5 + so(2 * n - 5), 1 + so(2 * n - 5), 0),
-        }[c]
-    if rec.pair.family_id == SO_EVEN_VECTOR:
-        so = lambda k: k * (k - 1) // 2
-        return {
-            "4.1": (2 + so(2 * n - 4), 1 + so(2 * n - 4), 0),
-            "4.2": (2 + so(2 * n - 4), so(2 * n - 4), 0),
-            "4.3": (1 + so(2 * n - 2), so(2 * n - 3), 0),
-            "4.4": (5 + so(2 * n - 6), 1 + so(2 * n - 6), 0),
-        }[c]
-    if rec.pair.family_id == SP:
+            "1": (2 + so(v - 2), 1 + so(v - 2), 0),
+            "2": (2 + so(v - 2), so(v - 2), 0),
+            "3": (1 + so(v), so(v - 1), 0),
+            "4": (5 + so(v - 4), 1 + so(v - 4), 0),
+        }[c.split(".")[1]]
+    if family == SP:
         o = lambda k: k * (k - 1) // 2
-        if c in ("3.1", "3.2"):
-            return (r * r + (n - r) ** 2, o(r) + (n - r) ** 2, 0)
         return (r * r + s * s + (n - r - s) ** 2,
                 o(r) + o(s) + (n - r - s) ** 2, 0)
     sp = lambda k: k * (2 * k + 1)
-    if c in ("5.1", "5.2"):
-        return (4 * r * r + (n - 2 * r) ** 2, sp(r) + (n - 2 * r) ** 2, 0)
     if c == "5.3":
         return (4 * r * r + 4 * s * s + (n - 2 * r - 2 * s) ** 2,
                 sp(r) + sp(s) + (n - 2 * r - 2 * s) ** 2, 0)
@@ -522,8 +505,7 @@ def expected_dims(rec):
 
 def _build_slpq(rec, real):
     p, q = rec.pair.pq
-    pm = rec.param_map
-    r, s = pm.get("r", 0), pm.get("s", 0)
+    case, r, s = _two_sided(rec)
     e, f = {}, {}
     hv, hw = [0] * p, [0] * q
 
@@ -533,38 +515,21 @@ def _build_slpq(rec, real):
     def lo(m, i, j, c=1):    # phi_i (x) e'_j
         m[p + j - 1, i - 1] = c
 
-    case = rec.case_id
-    if case == "1.1":
+    def two_plus(i, j):      # a part (2, +): e_i (x) phi'_j, h = 1 on e_i, -1 on e'_j
+        up(e, i, j)
+        lo(f, i, j)
+        hv[i - 1], hw[j - 1] = 1, -1
+
+    def two_minus(i, j):     # a part (2, -): phi_i (x) e'_j, h = -1 on e_i, 1 on e'_j
+        lo(e, i, j)
+        up(f, i, j)
+        hv[i - 1], hw[j - 1] = -1, 1
+
+    if case == "1.3":
         for i in range(1, r + 1):
-            up(e, i, q - r + i)
-            lo(f, i, q - r + i)
-        for i in range(1, r + 1):
-            hv[i - 1] = 1
-        for j in range(q - r + 1, q + 1):
-            hw[j - 1] = -1
-    elif case == "1.2":
-        for i in range(1, r + 1):
-            lo(e, p - r + i, i)
-            up(f, p - r + i, i)
-        for i in range(p - r + 1, p + 1):
-            hv[i - 1] = -1
-        for j in range(1, r + 1):
-            hw[j - 1] = 1
-    elif case == "1.3":
-        for i in range(1, r + 1):
-            up(e, i, q - r + i)
-            lo(f, i, q - r + i)
+            two_plus(i, q - r + i)
         for i in range(1, s + 1):
-            lo(e, p - s + i, i)
-            up(f, p - s + i, i)
-        for i in range(1, r + 1):
-            hv[i - 1] = 1
-        for i in range(p - s + 1, p + 1):
-            hv[i - 1] = -1
-        for j in range(1, s + 1):
-            hw[j - 1] = 1
-        for j in range(q - r + 1, q + 1):
-            hw[j - 1] = -1
+            two_minus(p - s + i, i)
     elif case == "1.4":
         for i in (1, 2):
             up(e, i, i)
@@ -586,47 +551,23 @@ def _build_slpq(rec, real):
     elif case == "1.6":
         up(e, 1, q - r)
         lo(f, 1, q - r, 2)
-        for i in range(1, r + 1):
-            up(e, i + 1, q - r + i)
-            lo(f, i + 1, q - r + i)
-        for i in range(1, s + 1):
-            lo(e, p - s + i - 1, i)
-            up(f, p - s + i - 1, i)
         lo(e, p, q - r)
         up(f, p, q - r, 2)
-        hv[0] = 2
-        for i in range(2, r + 2):
-            hv[i - 1] = 1
-        for i in range(p - s, p):
-            hv[i - 1] = -1
-        hv[p - 1] = -2
-        for j in range(1, s + 1):
-            hw[j - 1] = 1
-        for j in range(q - r + 1, q + 1):
-            hw[j - 1] = -1
-    elif case == "1.7":
+        hv[0], hv[p - 1] = 2, -2
         for i in range(1, r + 1):
-            up(e, i, q - r + i - 1)
-            lo(f, i, q - r + i - 1)
+            two_plus(i + 1, q - r + i)
+        for i in range(1, s + 1):
+            two_minus(p - s + i - 1, i)
+    else:  # 1.7
         up(e, p - s, q)
         lo(f, p - s, q, 2)
         lo(e, p - s, 1)
         up(f, p - s, 1, 2)
-        for i in range(1, s + 1):
-            lo(e, p - s + i, i + 1)
-            up(f, p - s + i, i + 1)
+        hw[0], hw[q - 1] = 2, -2
         for i in range(1, r + 1):
-            hv[i - 1] = 1
-        for i in range(p - s + 1, p + 1):
-            hv[i - 1] = -1
-        hw[0] = 2
-        for j in range(2, s + 2):
-            hw[j - 1] = 1
-        for j in range(q - r, q):
-            hw[j - 1] = -1
-        hw[q - 1] = -2
-    else:
-        raise ValueError(f"unknown case {case}")
+            two_plus(i, q - r + i - 1)
+        for i in range(1, s + 1):
+            two_minus(p - s + i, i + 1)
     return hv + hw, e, f
 
 
@@ -693,65 +634,34 @@ def _wedge_terms(pairs, dual, scale=1):
 
 def _build_gl_block(rec, real):
     n = rec.pair.rank
-    pm = rec.param_map
-    r, s = pm.get("r", 0), pm.get("s", 0)
-    case = rec.case_id
+    case, r, s = _two_sided(rec)
     hdiag = [0] * n
-    if case == "3.1":
-        pairs = [(i, r - i + 1) for i in range(1, r + 1)]
-        e = _embed(_sym_terms(pairs), n, upper=True)
-        f = _embed(_sym_terms(pairs), n, upper=False)
-        for i in range(r):
+    if case in ("3.3", "5.3"):
+        # 2^r on the first w r and -2^s on the last w s basis vectors, with
+        # w = 1 for the symmetric blocks of Sp and w = 2 for the skew blocks
+        # of SO/GL.  Dual-side pairs are (n-ws+i, n-i+1): the mirror image of
+        # the 2^r pattern, and the unique choice compatible with the given h.
+        sym = case == "3.3"
+        w = 1 if sym else 2
+        up_pairs = [(i, w * r - i + 1) for i in range(1, r + 1)]
+        lo_pairs = [(n - w * s + i, n - i + 1) for i in range(1, s + 1)]
+
+        def block(pairs, dual, upper):
+            return _embed(_sym_terms(pairs) if sym else _wedge_terms(pairs, dual), n, upper)
+
+        e = _add(block(up_pairs, False, True), block(lo_pairs, True, False))
+        f = _add(block(up_pairs, True, False), block(lo_pairs, False, True))
+        for i in range(w * r):
             hdiag[i] = 1
-    elif case == "3.2":
-        pairs = [(n - r + i, n - i + 1) for i in range(1, r + 1)]
-        e = _embed(_sym_terms(pairs), n, upper=False)
-        f = _embed(_sym_terms(pairs), n, upper=True)
-        for i in range(n - r, n):
+        for i in range(n - w * s, n):
             hdiag[i] = -1
-    elif case == "3.3":
-        up_pairs = [(i, r - i + 1) for i in range(1, r + 1)]
-        lo_pairs = [(n - s + i, n - i + 1) for i in range(1, s + 1)]
-        e = _add(_embed(_sym_terms(up_pairs), n, True), _embed(_sym_terms(lo_pairs), n, False))
-        f = _add(_embed(_sym_terms(up_pairs), n, False), _embed(_sym_terms(lo_pairs), n, True))
-        for i in range(r):
-            hdiag[i] = 1
-        for i in range(n - s, n):
-            hdiag[i] = -1
-    elif case in ("5.1", "5.2", "5.3"):
-        # Dual-side pairs are (n-2r+i, n-i+1): the mirror image of the
-        # 5.1 pattern, and the unique choice compatible with the given h.
-        up_pairs = [(i, 2 * r - i + 1) for i in range(1, r + 1)]
-        lo_r = r if case == "5.2" else s
-        lo_pairs = [(n - 2 * lo_r + i, n - i + 1) for i in range(1, lo_r + 1)]
-        if case == "5.1":
-            e = _embed(_wedge_terms(up_pairs, dual=False), n, True)
-            f = _embed(_wedge_terms(up_pairs, dual=True), n, False)
-            for i in range(2 * r):
-                hdiag[i] = 1
-        elif case == "5.2":
-            e = _embed(_wedge_terms(lo_pairs, dual=True), n, False)
-            f = _embed(_wedge_terms(lo_pairs, dual=False), n, True)
-            for i in range(n - 2 * r, n):
-                hdiag[i] = -1
-        else:
-            e = _add(_embed(_wedge_terms(up_pairs, dual=False), n, True),
-                     _embed(_wedge_terms(lo_pairs, dual=True), n, False))
-            f = _add(_embed(_wedge_terms(up_pairs, dual=True), n, False),
-                     _embed(_wedge_terms(lo_pairs, dual=False), n, True))
-            for i in range(2 * r):
-                hdiag[i] = 1
-            for i in range(n - 2 * s, n):
-                hdiag[i] = -1
-    elif case == "5.4":
+    else:  # 5.4
         e = _add(_embed(_wedge_terms([(1, 2)], dual=False), n, True),
                  _embed(_wedge_terms([(2, n)], dual=True), n, False))
         f = _add(_embed(_wedge_terms([(1, 2)], dual=True, scale=2), n, False),
                  _embed(_wedge_terms([(2, n)], dual=False, scale=2), n, True))
         hdiag[0] = 2
         hdiag[n - 1] = -2
-    else:
-        raise ValueError(f"unknown case {case}")
     return hdiag + [-x for x in hdiag], e, f
 
 

@@ -436,9 +436,9 @@ def witness_decomposition(case_id, params, gamma_coords):
                 if hi > lo:
                     coeffs[("gij", i, j)] = hi - lo
     else:
-        a1r, a2r = a(1, 2 * r1), a(2, 2 * r2)
-        a1o, a2o = a(1, 2 * r1 - 1), a(2, 2 * r2 - 1)
         if r1 and r2:
+            a1r, a2r = a(1, 2 * r1), a(2, 2 * r2)
+            a1o, a2o = a(1, 2 * r1 - 1), a(2, 2 * r2 - 1)
             # c1 is attached to the overflow row (the gamma^1_{r1+1}
             # coefficient), c2 to the overflow column; the constraint system
             # forces c1 - c2 = a2r - a1r, and membership makes the stated b
@@ -474,25 +474,16 @@ def witness_decomposition(case_id, params, gamma_coords):
                     if hi > lo:
                         assert i + j < r1 + r2 + 2, "corner cell must stay empty"
                         coeffs[("gij", i, j)] = hi - lo
-        elif r1 and not r2:
-            for i in range(2, r1 + 1):
-                if d(1, 2 * i):
-                    coeffs[("g1", i)] = -d(1, 2 * i)
-            if d(1, 2 * r1 + 2):
-                coeffs[("g1", r1 + 1)] = -d(1, 2 * r1 + 2)
-            for i in range(1, r1 + 1):
-                if d(1, 2 * i - 1):
-                    coeffs[("gij", i, 1)] = -d(1, 2 * i - 1)
-        elif r2 and not r1:
-            for j in range(2, r2 + 1):
-                if d(2, 2 * j):
-                    coeffs[("g2", j)] = -d(2, 2 * j)
-            if d(2, 2 * r2 + 2):
-                coeffs[("g2", r2 + 1)] = -d(2, 2 * r2 + 2)
-            for j in range(1, r2 + 1):
-                if d(2, 2 * j - 1):
-                    coeffs[("gij", 1, j)] = -d(2, 2 * j - 1)
-        # r1 = r2 = 0 boundary: gamma = 0 and the decomposition is empty.
+        else:
+            # At most one wing is non-empty; with none, gamma = 0 and the
+            # decomposition is empty.
+            for k, rk in ((1, r1), (2, r2)):
+                for i in range(2, rk + 2):
+                    if d(k, 2 * i):
+                        coeffs[(f"g{k}", i)] = -d(k, 2 * i)
+                for i in range(1, rk + 1):
+                    if d(k, 2 * i - 1):
+                        coeffs[("gij", i, 1) if k == 1 else ("gij", 1, i)] = -d(k, 2 * i - 1)
 
     total = [0] * len(names)
     for tag, mult in coeffs.items():

@@ -131,6 +131,24 @@ def test_semigroup_16(tmp_path):
     assert json.loads(text)["data"]["match"]
 
 
+@pytest.mark.parametrize("argv, case, need", [
+    (["semigroup", "1.6", "--p", "5", "--q", "5", "--r", "2", "--s", "1"], "1.6", 5),
+    (["report-all", "--max-degree", "3"], "1.6", 4),
+])
+def test_degree_below_closed_forms_is_usage_error(argv, case, need, tmp_path, capsys):
+    # A truncated enumeration cannot match the closed forms; that is a bad
+    # bound, not a failed verification.
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"closed forms of case {case}" in err and f"reach degree {need}" in err
+
+
+def test_semigroup_at_the_closed_form_degree(tmp_path):
+    code, text = run_cli(["semigroup", "1.6", "--p", "5", "--q", "5", "--r", "2", "--s", "1",
+                          "--max-degree", "5"], tmp_path)
+    assert code == 0 and json.loads(text)["data"]["match"]
+
+
 def test_semigroup_unknown_case():
     assert main(["semigroup", "9.9"]) == 2
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -5,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korbits import orbits as ob
-from korbits.hermitian import (SLPQ, SO_EVEN_VECTOR, SO_ODD, SP, enumerate_pairs,
-                               parse_pair_key)
+from korbits.hermitian import (_RANK_BOUNDS, SLPQ, SO_EVEN_VECTOR, SO_ODD, SP,
+                               enumerate_pairs, parse_pair_key)
 from korbits import linalg
 
 PRIME = (1 << 61) - 1
@@ -437,3 +439,23 @@ def test_triple_json_shape():
     assert doc["orbit"] == "C:2/3.1/r=1"
     assert doc["h"]["den"] == 1
     assert len(doc["e"]["num"]) == doc["dim"]
+
+
+CATALOG_SHA256 = "77b07483be7227819d441ccc132d74066e4ada29e88b0016af82008e0536eb45"
+
+
+def test_catalog_digest():
+    # Every record of every A-D pair of rank <= 12: matrices, signed
+    # partition, expected dimensions and Jordan type, in list_orbits order.
+    digest = hashlib.sha256()
+    count = 0
+    for g_type in "ABCD":
+        for n in range(_RANK_BOUNDS[g_type], 13):
+            for pair in enumerate_pairs(g_type, n):
+                for r in ob.list_orbits(pair):
+                    doc = [ob.triple_to_json(ob.build_triple(r)), r.signed_partition(),
+                           ob.expected_dims(r), ob.partition_from_signed(r)]
+                    digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+                    count += 1
+    assert count == 2151
+    assert digest.hexdigest() == CATALOG_SHA256

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -291,6 +293,35 @@ def test_witness_boundary_internals():
         if a1r != a2r:
             seen_branch = True
     assert seen_branch
+
+
+ONE_WING_WITNESS_SHA256 = "f8471a6678150fbf6a55bca736229b5b364ea2ca67704dd692eb1709272a7cec"
+
+
+def test_witness_one_wing_boundary_members():
+    # Boundary regime with one empty wing: every member of the semigroup
+    # with sigma-coordinates <= 3 decomposes, and the decompositions are
+    # pinned.
+    digest = hashlib.sha256()
+    count = 0
+    for case in ("1.6", "1.7"):
+        for r, s in ((1, 0), (0, 1), (2, 0), (0, 2)):
+            p, q = (r + s + 2, r + s + 1) if case == "1.6" else (r + s + 1, r + s + 2)
+            params = dict(p=p, q=q, r=r, s=s)
+            tw = sp.two_wing_structure(case, **params)
+            assert tw.boundary
+            lat = sg.lattice(tw.system)
+            d1, d2 = tw.system.designated
+            allowed = {i for i, x in enumerate(d1) if x} | {i for i, x in enumerate(d2) if x}
+            for c in itertools.product(range(4), repeat=lat.k):
+                if any(x > 0 for i, x in enumerate(lat.colors_of(c)) if i not in allowed):
+                    continue
+                coeffs, _ = sg.witness_decomposition(case, params, c)
+                digest.update(json.dumps([case, params, c, sorted(coeffs.items())]).encode()
+                              + b"\n")
+                count += 1
+    assert count == 136
+    assert digest.hexdigest() == ONE_WING_WITNESS_SHA256
 
 
 def test_witness_case14():
