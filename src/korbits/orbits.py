@@ -19,8 +19,8 @@ For x = 1, 3, 5, case x.1 (2^r) is case x.3 (2^r, -2^s) with s = 0 and
 case x.2 (-2^r) is x.3 with r = 0, so only the x.3 formulas are written
 down.  Cases 2.y and 4.y share one table in dim V = 2n-1 or 2n-2.
 
-A realization keeps only the k- and p-bases; the Borel subalgebra and its
-plus and minus parts are read off the k-basis, and membership in g, k and
+A realization keeps only the k- and p-bases; the Borel subalgebra b and
+its opposite nilradical n- are read off the k-basis; membership in g, k and
 p is an elimination against the bases.  The central cocharacter zeta
 (= m omega_p^vee, kept as its diagonal) acts with eigenvalues +m on p1 and
 -m on p2; it only gives the bicone charges.  h is diagonal too, so every
@@ -30,14 +30,16 @@ ad(h) and ad(zeta) bracket is read off the diagonals with
 Every basis element is a matrix unit or a signed pair of them, so the
 verification kernels work on a sparse form, a dict {(i, j): v} of the
 nonzero entries.  Every bracket [x, b] goes through one indexed ad(x),
-`_ad`, and every other product through `_mul`.
-`MatrixTriple` keeps dense matrices; each kernel converts h, e and f once.
+`_ad`, and every other product through `_mul`.  `MatrixTriple` keeps
+dense matrices, each kernel converts h, e and f once, and the triple keeps
+(dim K_e, dim Ke) once computed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .hermitian import (SLPQ, SO_EVEN_GL, SO_EVEN_VECTOR, SO_ODD, SP,
@@ -121,6 +123,14 @@ class MatrixTriple:
     def realization(self):
         return realization(self.record.pair)
 
+    @cached_property
+    def centralizer_dims(self):
+        """`centralizer_dim`, computed on first use and kept with the triple."""
+        real = self.realization
+        ad_e = _ad(_sparse(self.e))
+        orbit = linalg.rank([real.p_coords(ad_e(x)) for x in real.k_basis])
+        return real.k_dim - orbit, orbit
+
 
 def parse_orbit_id(orbit_id):
     parts = orbit_id.split("/")
@@ -165,12 +175,12 @@ def _reduced(x, p):
     return {ij: v for ij, v in x.items() if v}
 
 
-def _add(a, b, c=1, p=None):
-    """a + c b for sparse matrices, over Z or over GF(p)."""
+def _add(a, b, c=1):
+    """a + c b for sparse matrices over Z."""
     out = dict(a)
     for ij, v in b.items():
         out[ij] = out.get(ij, 0) + c * v
-    return _reduced(out, p)
+    return _reduced(out, None)
 
 
 def _mul(a, b, p=None):
@@ -234,9 +244,9 @@ class Realization:
 
     Each basis element has entry +-1 at its first nonzero position in
     row-major order (its anchor), and no later element of k_basis + p_basis
-    is nonzero there.  The Borel, plus and minus lists are the k-basis
-    elements anchored on or above, strictly above and strictly below the
-    diagonal, and membership in g, k and p is one elimination.
+    is nonzero there.  The Borel and minus lists are the k-basis elements
+    anchored on or above and strictly below the diagonal, and membership in
+    g, k and p is one elimination.
     """
 
     def __init__(self, spec):
@@ -250,7 +260,6 @@ class Realization:
         self.k_dim = len(self.k_basis)
         anchors = [min(b) for b in self.k_basis]
         self.borel_basis = [b for b, (i, j) in zip(self.k_basis, anchors) if i <= j]
-        self.plus_basis = [b for b, (i, j) in zip(self.k_basis, anchors) if i < j]
         self.minus_basis = [b for b, (i, j) in zip(self.k_basis, anchors) if i > j]
         # p-basis elements have pairwise disjoint supports and entry 1 at
         # their anchor, so a p-element's entry there is its coordinate, over
@@ -717,10 +726,7 @@ def adh_grading(triple):
 
 def centralizer_dim(triple):
     """(dim K_e, dim Ke): kernel and image of ad(e) restricted to k."""
-    real = triple.realization
-    ad_e = _ad(_sparse(triple.e))
-    orbit = linalg.rank([real.p_coords(ad_e(x)) for x in real.k_basis])
-    return real.k_dim - orbit, orbit
+    return triple.centralizer_dims
 
 
 _TRIAL_PRIME = (1 << 61) - 1
@@ -729,32 +735,31 @@ _TRIALS = 4
 
 def _exp_pair_modp(m, dim, p):
     """(exp(m), exp(-m)) mod p for a nilpotent sparse dim x dim matrix m."""
-    g = ginv = term = {(i, i): 1 for i in range(dim)}
-    fact = 1
+    g = {(i, i): 1 for i in range(dim)}
+    ginv, term, fact = dict(g), g, 1
     for k in range(1, dim + 1):
         term = _mul(term, m, p)
         if not term:
             break
         fact = fact * k % p
         c = pow(fact, -1, p)
-        g = _add(g, term, c, p)
-        ginv = _add(ginv, term, -c if k % 2 else c, p)
+        for ij, v in term.items():
+            g[ij] = (g.get(ij, 0) + c * v) % p
+            ginv[ij] = (ginv.get(ij, 0) + (-c if k % 2 else c) * v) % p
     return g, ginv
 
 
 def _generic_borel_rank_modp(triple, rng, p):
-    """dim(b.x) at a pseudo-random big-cell point, computed mod p.
+    """dim(b.x) mod p at x = exp(N-) e, for a pseudo-random N- in n-.
 
     Reduction mod p can only lower a rank, so reaching the orbit dimension
     certifies it exactly."""
     real = triple.realization
-    x = _reduced(_sparse(triple.e), p)
-    for basis in (real.minus_basis, real.plus_basis):
-        nil = {}
-        for b in basis:
-            nil = _add(nil, b, rng.randint(1, 9))
-        g, ginv = _exp_pair_modp(nil, real.dim, p)
-        x = _mul(_mul(g, x, p), ginv, p)
+    nil = {}
+    for b in real.minus_basis:
+        nil = _add(nil, b, rng.randint(1, 9))
+    g, ginv = _exp_pair_modp(nil, real.dim, p)
+    x = _mul(_mul(g, _sparse(triple.e), p), ginv, p)
     ad_x = _ad(x, p)
     return linalg.rank([real.p_coords(ad_x(b)) for b in real.borel_basis], p)
 
@@ -763,10 +768,9 @@ def is_spherical(triple):
     """Open-Borel-orbit test: dim(b.x) = dim Kx at a generic orbit point.
 
     The raw case representatives need not be in general position w.r.t. the
-    fixed Borel, so e is moved by deterministic pseudo-random big-cell
-    elements exp(N+) exp(N-) before measuring dim(b.x) modulo a large prime;
-    the maximum over the orbit is what characterizes sphericity, and any
-    Borel yields the same value.
+    fixed Borel (any Borel gives the same answer), so dim(b.x) is measured
+    modulo a large prime at x = exp(N-) e for pseudo-random N- in n-: with B
+    these fill the big cell, and [b, Ad(u)x] = Ad(u)[b, x] for u in B.
 
     True is certified exactly: the rank mod p is at most the rank over Q,
     which is at most dim Kx, so a trial that reaches dim Kx proves the Borel
@@ -774,14 +778,9 @@ def is_spherical(triple):
     points reached dim Kx, which for a spherical orbit happens only if every
     point lands on the proper closed subset where the rank mod p drops.
     """
-    return _borel_orbit_open(triple, centralizer_dim(triple)[1])
-
-
-def _borel_orbit_open(triple, dim_orbit):
-    """is_spherical given dim Kx = dim_orbit."""
     rng = random.Random(0x5EED)
-    return any(_generic_borel_rank_modp(triple, rng, _TRIAL_PRIME) == dim_orbit
-               for _ in range(_TRIALS))
+    return any(_generic_borel_rank_modp(triple, rng, _TRIAL_PRIME)
+               == triple.centralizer_dims[1] for _ in range(_TRIALS))
 
 
 def p_height(triple):
@@ -867,7 +866,7 @@ def verify_orbit(triple):
         "signed_partition": [[a, sg, m] for a, sg, m in rec.signed_partition()],
         "sl2_ok": all(verify_triple(triple).values()),
         "jordan_ok": jordan_type(triple.e) == partition_from_signed(rec),
-        "spherical": _borel_orbit_open(triple, dim_orbit),
+        "spherical": is_spherical(triple),
         "dim_K_e": dim_ke,
         "dim_orbit": dim_orbit,
         "ht_p": p_height(triple),

@@ -307,14 +307,16 @@ _CASE_PARAMS = {"1.4": ("p",), "1.5": ("q",),
 
 
 def _case_args(case_id, params):
-    """The case's parameters in order; ValueError names any missing one."""
+    """The case's parameters in order; ValueError names any missing or extra one."""
     if case_id not in _CASE_PARAMS:
         raise ValueError(f"no closed-form case {case_id!r}")
-    missing = [name for name in _CASE_PARAMS[case_id] if name not in params]
-    if missing:
-        raise ValueError(f"case {case_id} needs "
-                         + ", ".join(f"--{name}" for name in missing))
-    return [params[name] for name in _CASE_PARAMS[case_id]]
+    names = _CASE_PARAMS[case_id]
+    for verb, wrong in (("needs", [n for n in names if n not in params]),
+                        ("takes no", [n for n in params if n not in names])):
+        if wrong:
+            raise ValueError(f"case {case_id} {verb} "
+                             + ", ".join(f"--{n}" for n in wrong))
+    return [params[name] for name in names]
 
 
 def build_case_system(case_id, params):

@@ -163,6 +163,21 @@ def test_normality_missing_params(capsys):
     assert "case 1.4 needs --p" in capsys.readouterr().err
 
 
+def test_semigroup_rejects_unused_params(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["semigroup", "1.4", "--p", "4", "--q", "9", "--out", str(out)]) == 2
+    assert "case 1.4 takes no --q" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_normality_rejects_unused_params(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["normality", "1.5", "--q", "4", "--p", "3", "--r", "2",
+                 "--out", str(out)]) == 2
+    assert "case 1.5 takes no --p, --r" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_normality_command(tmp_path):
     code, text = run_cli(["normality", "1.4", "--p", "5"], tmp_path)
     assert code == 0

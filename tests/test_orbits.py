@@ -136,12 +136,13 @@ def test_borel_split_partitions_k_and_is_closed():
         n = real.dim
         items = lambda basis: sorted(tuple(sorted(b.items())) for b in basis)
         diag = [b for b in real.k_basis if all(i == j for i, j in b)]
-        parts = items(real.plus_basis + real.minus_basis + diag)
+        plus = [b for b in real.k_basis if min(b)[0] < min(b)[1]]
+        parts = items(plus + real.minus_basis + diag)
         assert parts == items(real.k_basis), spec.key()
         assert len(set(parts)) == real.k_dim
-        assert len(real.plus_basis) == len(real.minus_basis)
-        assert items(real.borel_basis) == items(real.plus_basis + diag)
-        for basis in (real.borel_basis, real.plus_basis, real.minus_basis):
+        assert len(plus) == len(real.minus_basis)
+        assert items(real.borel_basis) == items(plus + diag)
+        for basis in (real.borel_basis, plus, real.minus_basis):
             brackets = [ob._ad(a)(b) for i, a in enumerate(basis) for b in basis[i + 1:]]
             assert span_rank(basis, n) == len(basis)
             assert span_rank(basis + brackets, n) == len(basis), spec.key()
@@ -323,9 +324,9 @@ def test_is_spherical_true_on_listed_orbits():
         assert ob.is_spherical(t)
 
 
-def test_is_spherical_false_for_regular_element():
-    # A non-listed representative in SL(6)/S(GL(3) x GL(3)): identity in the
-    # upper block plus a regular nilpotent in the lower block.
+def regular_element_triple():
+    """A non-listed representative in SL(6)/S(GL(3) x GL(3)): identity in the
+    upper block plus a regular nilpotent in the lower block."""
     pair = parse_pair_key("A:5:p=3")
     n = 6
     e = [[0] * n for _ in range(n)]
@@ -334,9 +335,95 @@ def test_is_spherical_false_for_regular_element():
     e[4][0] = e[5][1] = 1
     h = [[0] * n for _ in range(n)]
     f = [[0] * n for _ in range(n)]
-    t = ob.MatrixTriple(tuple(map(tuple, h)), tuple(map(tuple, e)), tuple(map(tuple, f)),
-                        ob.OrbitRecord(pair, "1.1", (("r", 1),)))
-    assert not ob.is_spherical(t)
+    return ob.MatrixTriple(tuple(map(tuple, h)), tuple(map(tuple, e)), tuple(map(tuple, f)),
+                           ob.OrbitRecord(pair, "1.1", (("r", 1),)))
+
+
+def test_is_spherical_false_for_regular_element():
+    assert not ob.is_spherical(regular_element_triple())
+
+
+def dense_exp_modp(m):
+    """exp(m) mod PRIME for a nilpotent dense matrix m, term by term."""
+    n = len(m)
+    out = term = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        inv_k = pow(k, -1, PRIME)
+        term = [[v * inv_k % PRIME for v in row] for row in linalg.mat_mul(term, m)]
+        if not any(map(any, term)):
+            break
+        out = linalg.mat_add(out, term)
+    return out
+
+
+def two_sided_borel_rank(triple, rng):
+    """dim(b.x) mod PRIME at the two-sided point x = exp(N+) exp(N-) e, with
+    the coefficients of N- and then of N+ drawn from rng."""
+    real = triple.realization
+    n = real.dim
+    x = [list(row) for row in triple.e]
+    plus = [b for b in real.k_basis if min(b)[0] < min(b)[1]]
+    for basis in (real.minus_basis, plus):
+        nil = [[0] * n for _ in range(n)]
+        for b in basis:
+            c = rng.randint(1, 9)
+            for (i, j), v in b.items():
+                nil[i][j] += c * v
+        g = dense_exp_modp(nil)
+        ginv = dense_exp_modp([[-v for v in row] for row in nil])
+        x = linalg.mat_mul(linalg.mat_mul(g, x), ginv)
+    ad_x = ob._ad(ob._reduced(ob._sparse(x), PRIME), PRIME)
+    return linalg.rank([real.p_coords(ad_x(b)) for b in real.borel_basis], PRIME)
+
+
+def test_borel_rank_is_invariant_under_exp_n_plus():
+    # [b, Ad(u)x] = Ad(u)[b, x] for u in B: the one-sided trial point
+    # exp(N-) e and the two-sided exp(N+) exp(N-) e have the same rank for
+    # every trial, on the report-all orbits and a few of rank 6-8 (the first
+    # of those is certified only by the second trial).
+    triples = [ob.build_triple(r) for t, n in (("A", 4), ("B", 3), ("C", 2), ("D", 5))
+               for spec in enumerate_pairs(t, n) for r in ob.list_orbits(spec)]
+    assert len(triples) == 53
+    triples += [ob.build_triple(rec(key, case, params)) for key, case, params in (
+        ("A:7:p=4", "1.6", (("r", 1), ("s", 1))),
+        ("C:6", "3.3", (("r", 2), ("s", 1))),
+        ("D:6:p=1", "4.4", ()),
+        ("B:6", "2.2", ()),
+        ("A:8:p=4", "1.7", (("r", 1), ("s", 1))))]
+    triples.append(regular_element_triple())
+    for t in triples:
+        rng = random.Random(0x5EED)
+        ranks = []
+        for _ in range(ob._TRIALS):
+            state = rng.getstate()
+            rank = ob._generic_borel_rank_modp(t, rng, PRIME)
+            reference = random.Random()
+            reference.setstate(state)
+            assert rank == two_sided_borel_rank(t, reference), t.record.orbit_id()
+            ranks.append(rank)
+        assert (ob.centralizer_dim(t)[1] in ranks) == ob.is_spherical(t)
+    assert not ob.is_spherical(triples[-1])
+
+
+def test_centralizer_rank_runs_once_per_triple(monkeypatch):
+    t = ob.build_triple(rec("C:4", "3.3", (("r", 1), ("s", 1))))
+    rank = linalg.rank
+    rational = []
+
+    def counting(rows, p=None):
+        if p is None:
+            rational.append(len(rows))
+        return rank(rows, p)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    ob.jordan_type(t.e)
+    jordan = len(rational)
+    rational.clear()
+    assert ob.centralizer_dim(t)[0] + ob.centralizer_dim(t)[1] == t.realization.k_dim
+    assert ob.is_spherical(t)
+    assert ob.verify_orbit(t)[1]
+    assert rational.count(t.realization.k_dim) == 1
+    assert len(rational) == 1 + jordan
 
 
 def test_zero_element_is_spherical_point_orbit():
