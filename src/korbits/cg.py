@@ -10,29 +10,28 @@ matter (the tests check this explicitly).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
-@dataclass(frozen=True)
-class TTriple:
-    m: int
-    m1: int
-    m2: int
+class TTriple(namedtuple("TTriple", "m m1 m2")):
+    """An SL(2)^3 highest weight (m, m1, m2): a plain tuple with names,
+    equal to and hashed like (m, m1, m2); `+` is componentwise."""
+    __slots__ = ()
 
     def entries(self):
-        return (self.m, self.m1, self.m2)
+        return tuple(self)
 
     def __add__(self, other):
-        return TTriple(self.m + other.m, self.m1 + other.m1, self.m2 + other.m2)
+        a, b, c = other
+        return TTriple(self[0] + a, self[1] + b, self[2] + c)
 
 
 def in_tensor_semigroup(t):
-    """Clebsch-Gordan test: even sum and triangle inequality."""
-    m, m1, m2 = t.entries() if isinstance(t, TTriple) else t
-    if min(m, m1, m2) < 0:
-        return False
+    """Clebsch-Gordan test: even sum and triangle inequality.  The triangle
+    |m - m1| <= m2 <= m + m1 already forces every entry to be >= 0."""
+    m, m1, m2 = t
     return (m + m1 + m2) % 2 == 0 and abs(m - m1) <= m2 <= m + m1
 
 
@@ -46,19 +45,6 @@ class CGProjection:
     n: int
     k: int
     rows: tuple
-
-    def matrix(self):
-        """The dense projection over the flattened basis a(n + 1) + b,
-        normalized so its first nonzero entry is 1."""
-        m, n, k = self.m, self.n, self.k
-        h = (m + n - k) // 2
-        lead = self.rows[0][0]
-        out = [[Fraction(0)] * ((m + 1) * (n + 1)) for _ in self.rows]
-        for j, row in enumerate(self.rows):
-            for a, x in enumerate(row):
-                if x:
-                    out[j][a * (n + 1) + h + j - a] = Fraction(x, lead)
-        return out
 
 
 _PROJ_CACHE = {}
@@ -142,68 +128,60 @@ def cg_injection(m, n, k):
 _PRODUCT_CACHE = {}
 
 
-def _entries(t):
-    return t.entries() if isinstance(t, TTriple) else tuple(t)
-
-
-def _check_member(t):
-    if not in_tensor_semigroup(t):
-        raise ValueError(f"{TTriple(*t)} is not in the tensor semigroup")
+def _check_members(*triples):
+    for t in triples:
+        if not in_tensor_semigroup(t):
+            raise ValueError(f"{TTriple(*t)} is not in the tensor semigroup")
 
 
 def product_contains(k, m, n):
     """Whether V(k) occurs in the product V(m) . V(n) in the invariant ring.
 
     True iff the composition pi(m'',n''->k'') o (pi (x) pi) o (iota (x) iota)
-    is nonzero.  The composite is diagonal-equivariant, hence a scalar times
-    the projection V(k) (x) V(k') -> V(k''); the scalar is read off on the
-    weight-k'' block against the top row.
+    is nonzero.  The composite is diagonal-equivariant, hence a scalar c
+    times the projection pi(k, k' -> k''), whose rows[0][0] > 0 sits at
+    x_0 (x) x_h12, h12 = (k + k' - k'')/2.  So the composite's top-row entry
+    there is zero exactly when c = 0, and that one entry decides.
     """
     # Only checked keys enter the cache, so a hit needs no validity check.
-    key = (_entries(k), _entries(m), _entries(n))
+    key = (tuple(k), tuple(m), tuple(n))
     found = _PRODUCT_CACHE.get(key)
     if found is not None:
         return found
-    for t in key:
-        _check_member(t)
+    _check_members(*key)
     (kv, k1, k2), (m, m1, m2), (n, n1, n2) = key
     if not all(map(in_tensor_semigroup, ((m, n, kv), (m1, n1, k1), (m2, n2, k2)))):
         _PRODUCT_CACHE[key] = False
         return False
-    iota1 = cg_injection(m, n, kv)
-    iota2 = cg_injection(m1, n1, k1)
+    iota1 = cg_injection(m, n, kv)[0]
+    h12 = (kv + k1 - k2) // 2
+    iota2 = cg_injection(m1, n1, k1)[h12]
     rows1 = cg_projection(m, m1, m2).rows
     rows2 = cg_projection(n, n1, n2).rows
     top = cg_projection(m2, n2, k2).rows[0]
-    # The weight-k2 block of V(kv) (x) V(k1) is x_a (x) x_{h12-a}, a = 0..h12.
-    # iota1[a][i] is the entry at x_i (x) x_j, j = h1 + a - i; the term
-    # (x_i (x) x_j) (x) (x_i1 (x) x_j1) has weight row al = i + i1 - off of
-    # rows1, and the weight-k2 block pairs it with be = half - al, which
-    # rows2[be] reads at j.
-    h12 = (kv + k1 - k2) // 2
+    # iota1[i] is the entry of x_0 at x_i (x) x_j, j = h1 - i, and iota2[i1]
+    # that of x_h12 at x_i1 (x) x_j1; the term (x_i (x) x_j) (x) (x_i1 (x)
+    # x_j1) has weight row al = i + i1 - off of rows1, and the weight-k2
+    # block pairs it with be = half - al, which rows2[be] reads at j.
     h1 = (m + n - kv) // 2
     off = (m + m1 - m2) // 2
     half = (m2 + n2 - k2) // 2
-    found = False
-    for a in range(h12 + 1):
-        vs = [(i1, cj) for i1, cj in enumerate(iota2[h12 - a]) if cj]
-        total = 0
-        for i, ci in enumerate(iota1[a]):
-            if not ci:
-                continue
-            j = h1 + a - i
-            for i1, cj in vs:
-                al = i + i1 - off
-                be = half - al
-                if 0 <= al <= m2 and 0 <= be <= n2:
-                    w1 = rows1[al][i]
-                    if w1:
-                        w2 = rows2[be][j]
-                        if w2:
-                            total += ci * cj * w1 * w2 * top[al]
-        if total:
-            found = True
-            break
+    vs = [(i1, cj) for i1, cj in enumerate(iota2) if cj]
+    total = 0
+    for i, ci in enumerate(iota1):
+        if not ci:
+            continue
+        j = h1 - i
+        for i1, cj in vs:
+            al = i + i1 - off
+            be = half - al
+            if 0 <= al <= m2 and 0 <= be <= n2:
+                w1 = rows1[al][i]
+                if w1:
+                    w2 = rows2[be][j]
+                    if w2:
+                        total += ci * cj * w1 * w2 * top[al]
+    found = total != 0
     _PRODUCT_CACHE[key] = found
     return found
 
@@ -214,10 +192,10 @@ _GAMMA_CACHE = {}
 def gamma_module(m):
     """All n in T with m - n componentwise nonnegative and even, as a tuple
     in lexicographic order of entries."""
-    key = _entries(m)
+    key = tuple(m)
     out = _GAMMA_CACHE.get(key)
     if out is None:
-        _check_member(key)
+        _check_members(key)
         a, b, c = key
         out = tuple(TTriple(x, y, z)
                     for x in range(a % 2, a + 1, 2)
@@ -236,15 +214,14 @@ def verify_gamma_product(m, n):
     in Gamma(m) and k - mt in Gamma(n), then every pair of Gamma(m) x
     Gamma(n) in lexicographic order.  Either way the verdict is exact.
     """
-    mm = m if isinstance(m, TTriple) else TTriple(*m)
-    nn = n if isinstance(n, TTriple) else TTriple(*n)
-    gm = gamma_module(mm)
-    gn = gamma_module(nn)
-    in_gn = {nt.entries() for nt in gn}
+    gm = gamma_module(m)
+    gn = gamma_module(n)
+    in_gn = set(gn)
+    (a0, b0, c0), (a1, b1, c1) = m, n
     missing = []
-    for k in gamma_module(mm + nn):
-        a, b, c = k.entries()
-        splits = ((mt, (a - mt.m, b - mt.m1, c - mt.m2)) for mt in gm)
+    for k in gamma_module((a0 + a1, b0 + b1, c0 + c1)):
+        a, b, c = k
+        splits = (((x, y, z), (a - x, b - y, c - z)) for x, y, z in gm)
         if not (any(nt in in_gn and product_contains(k, mt, nt) for mt, nt in splits)
                 or any(product_contains(k, mt, nt) for mt in gm for nt in gn)):
             missing.append(k)
@@ -267,14 +244,11 @@ def section_sweep(top):
         for n in triples:
             res = verify_gamma_product(m, n)
             if not res["ok"]:
-                failures.append([m.entries(), n.entries(),
-                                 [t.entries() for t in res["missing"]]])
+                failures.append([tuple(m), tuple(n), [tuple(t) for t in res["missing"]]])
             for k in gamma_module(m + n):
-                comp_t = all(in_tensor_semigroup((a, b, c)) for a, b, c in
-                             zip(m.entries(), n.entries(), k.entries()))
-                if comp_t and not product_contains(k, m, n):
-                    degenerate.append([list(k.entries()), list(m.entries()),
-                                       list(n.entries())])
+                if (all(map(in_tensor_semigroup, zip(m, n, k)))
+                        and not product_contains(k, m, n)):
+                    degenerate.append([list(k), list(m), list(n)])
     degenerate.sort()
     return {"tensor_semigroup_size": len(triples), "ok": not failures,
             "failures": failures, "degenerate": degenerate}

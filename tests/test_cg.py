@@ -22,6 +22,30 @@ def test_membership_examples():
     assert cg.in_tensor_semigroup((0, 0, 0))
 
 
+def test_ttriple_is_a_plain_tuple():
+    t = T(1, 1, 2)
+    assert t == (1, 1, 2) and hash(t) == hash((1, 1, 2))
+    assert type(t.entries()) is tuple and t.entries() == (1, 1, 2)
+    assert (t.m, t.m1, t.m2) == (1, 1, 2)
+    assert repr(t) == "TTriple(m=1, m1=1, m2=2)"
+    assert t + T(1, 0, 1) == T(2, 1, 3) and type(t + (1, 0, 1)) is cg.TTriple
+
+
+def guarded_membership(t):
+    """Reference: the membership test with an explicit sign guard."""
+    m, m1, m2 = t
+    if min(m, m1, m2) < 0:
+        return False
+    return (m + m1 + m2) % 2 == 0 and abs(m - m1) <= m2 <= m + m1
+
+
+def test_membership_matches_guarded_definition():
+    for t in itertools.product(range(-8, 9), repeat=3):
+        expected = guarded_membership(t)
+        for arg in (t, list(t), T(*t)):
+            assert cg.in_tensor_semigroup(arg) == expected, arg
+
+
 def test_membership_permutation_invariance():
     for a, b, c in itertools.product(range(5), repeat=3):
         vals = {cg.in_tensor_semigroup(p) for p in itertools.permutations((a, b, c))}
@@ -48,19 +72,33 @@ def test_membership_against_weight_multiplicities():
                 assert cg.in_tensor_semigroup((m, n, k)) == expected, (m, n, k)
 
 
+def dense_matrix(proj):
+    """Reference view: the projection as dense rows over the flattened basis
+    a(n + 1) + b, normalized so its first nonzero entry is 1."""
+    m, n, k = proj.m, proj.n, proj.k
+    h = (m + n - k) // 2
+    lead = proj.rows[0][0]
+    out = [[Fraction(0)] * ((m + 1) * (n + 1)) for _ in proj.rows]
+    for j, row in enumerate(proj.rows):
+        for a, x in enumerate(row):
+            if x:
+                out[j][a * (n + 1) + h + j - a] = Fraction(x, lead)
+    return out
+
+
 def test_projection_with_trivial_factor_is_identity():
     p = cg.cg_projection(3, 0, 3)
-    assert p.matrix() == linalg.identity(4)
+    assert dense_matrix(p) == linalg.identity(4)
 
 
 def test_projection_invariant_pairing():
     p = cg.cg_projection(1, 1, 0)
-    assert p.matrix() == [[0, 1, -1, 0]]
+    assert dense_matrix(p) == [[0, 1, -1, 0]]
 
 
 def test_projection_symmetrization_rank():
     p = cg.cg_projection(1, 1, 2)
-    assert linalg.rank(p.matrix()) == 3
+    assert linalg.rank(dense_matrix(p)) == 3
 
 
 def test_projection_outside_semigroup_raises():
@@ -203,7 +241,7 @@ def test_projection_and_injection_match_dense_reference():
                 assert flat(m, n, k, cg.cg_injection(m, n, k)) == \
                     reference_injection(m, n, k, ref), (m, n, k)
                 lead = ref[0][next(t for t, x in enumerate(ref[0]) if x)]
-                assert p.matrix() == [[Fraction(x, lead) for x in r] for r in ref]
+                assert dense_matrix(p) == [[Fraction(x, lead) for x in r] for r in ref]
     assert count == 285
 
 
@@ -347,6 +385,13 @@ def test_verify_gamma_product_examples():
     assert not cg.product_contains(T(2, 2, 2), T(1, 1, 2), T(1, 1, 2))
     assert cg.product_contains(T(2, 2, 2), T(1, 1, 2), T(1, 1, 0))
     assert cg.verify_gamma_product(T(0, 0, 0), T(3, 1, 2))["ok"]
+
+
+def test_verify_gamma_product_accepts_plain_tuples():
+    # plain tuples concatenate under +, so Gamma(m + n) must not use it
+    for m, n in (((1, 1, 2), (1, 1, 2)), ((2, 0, 2), (1, 1, 0)), ((0, 0, 0), (3, 1, 2))):
+        assert cg.verify_gamma_product(m, n) == cg.verify_gamma_product(T(*m), T(*n))
+        assert cg.verify_gamma_product(list(m), list(n)) == cg.verify_gamma_product(T(*m), T(*n))
 
 
 def dense_product_contains(k, m, n):
