@@ -176,11 +176,12 @@ def simplex_max(a, b, c):
     """Maximize c.x subject to a.x <= b, x >= 0, all data rational.
 
     Requires b >= 0 (the origin is feasible, which holds for every use in
-    this package).  Returns ('optimal', value) or ('unbounded', None).
-    Bland's rule guarantees termination.
+    this package); raises ValueError otherwise.  Returns ('optimal', value)
+    or ('unbounded', None).  Bland's rule guarantees termination.
     """
     m, n = len(a), len(c)
-    assert all(x >= 0 for x in b)
+    if any(x < 0 for x in b):
+        raise ValueError("simplex_max needs b >= 0 (the origin must be feasible)")
     # Tableau rows: m constraint rows + objective row; columns: n vars,
     # m slacks, rhs.
     t = [[Fraction(a[i][j]) for j in range(n)]

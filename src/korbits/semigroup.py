@@ -7,11 +7,14 @@ tested for integrality and nonnegativity.  Enumerations run over
 sigma-coordinate boxes whose per-coordinate bounds come from an exact
 rational simplex on the LP relaxation {c >= 0 : M^t c <= E}; the recession
 cone of a genuine system is trivial, so the boxes are finite and the
-enumeration is complete.
+enumeration is complete.  The LP optimum is positively homogeneous in E,
+so each lattice solves one set of k LPs per primitive ray E / gcd(E) and
+scales it exactly along the ray.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import linalg
@@ -48,6 +51,18 @@ class SigmaLattice:
         red, pivots, self._den = linalg.echelon(aug)
         self._transform = [(c, row[self.k:]) for row, c in zip(red, pivots) if c < self.k]
         self._checks = [row[self.k:] for row, c in zip(red, pivots) if c >= self.k]
+        self._lp_rows = [[self.rows[j][i] for j in range(self.k)] for i in range(self.ncol)]
+        self._ray_optima = {}
+
+    def _check_length(self, vec):
+        if len(vec) != self.ncol:
+            raise ValueError(f"expected a vector of {self.ncol} color coordinates, "
+                             f"got {len(vec)}")
+
+    def _check_target(self, E):
+        self._check_length(E)
+        if any(x < 0 for x in E):
+            raise ValueError(f"E must be in N-Delta, got {tuple(E)}")
 
     def colors_of(self, c):
         """Color coordinates of sum_i c_i sigma_i."""
@@ -56,6 +71,7 @@ class SigmaLattice:
 
     def nsigma_coords(self, vec):
         """Nonnegative integer sigma-coordinates, or None if not in N-Sigma."""
+        self._check_length(vec)
         for trow in self._checks:
             if sum(t * v for t, v in zip(trow, vec) if v):
                 return None
@@ -68,20 +84,32 @@ class SigmaLattice:
         return tuple(out)
 
     def box_bounds(self, E):
-        """floor(max c_i) over the LP relaxation, per coordinate."""
-        bounds = []
-        a = [[self.rows[j][i] for j in range(self.k)] for i in range(self.ncol)]
-        for i in range(self.k):
-            obj = [1 if j == i else 0 for j in range(self.k)]
-            status, val = linalg.simplex_max(a, list(E), obj)
-            if status != "optimal":
-                raise ValueError("N-Sigma has a recession direction; not a valid system")
-            bounds.append(int(val))
-        return bounds
+        """floor(max c_i) over the LP relaxation, per coordinate.
+
+        The optimum at g * ray is exactly g times the optimum at ray, so the
+        k LPs run once per primitive ray E / gcd(E) and their Fraction optima
+        are kept.  A recession direction depends only on the polyhedron, so
+        a failing ray is never kept and every call on it raises.
+        """
+        self._check_target(E)
+        g = math.gcd(*E) or 1
+        ray = tuple(x // g for x in E)
+        optima = self._ray_optima.get(ray)
+        if optima is None:
+            optima = []
+            for i in range(self.k):
+                obj = [1 if j == i else 0 for j in range(self.k)]
+                status, val = linalg.simplex_max(self._lp_rows, list(ray), obj)
+                if status != "optimal":
+                    raise ValueError("N-Sigma has a recession direction; not a valid system")
+                optima.append(val)
+            self._ray_optima[ray] = optima
+        return [int(g * v) for v in optima]
 
     def enumerate_sub(self, E):
         """All c in N^Sigma with E - colors(c) >= 0, by pruned DFS."""
         if self.k == 0:
+            self._check_target(E)
             return [()]
         bounds = self.box_bounds(E)
         minsuffix = [[0] * self.ncol for _ in range(self.k + 1)]
@@ -125,7 +153,7 @@ def lattice(system):
 
 def leq_sigma(system, d_vec, e_vec):
     """d <=_Sigma e iff e - d is a nonnegative integer N-Sigma combination."""
-    diff = tuple(b - a for a, b in zip(d_vec, e_vec))
+    diff = tuple(b - a for a, b in zip(d_vec, e_vec, strict=True))
     return lattice(system).nsigma_coords(diff) is not None
 
 

@@ -10,6 +10,7 @@ from korbits.cli import main
 
 REPORT_ALL_SHA256 = "82321344592a3466aa7af541c10c963afde0babea13b781456770f97d54c5439"
 CG_VERIFY_4_SHA256 = "92528de8197655a80ab8986a5b692d6b59141a75133d6756e71445f58d66c12d"
+SEMIGROUP_16_DEGREE_5_SHA256 = "8286adc1e87b60509a7c723697048a7c2d1ad2bfbaab5a6404ede6dda2b36d43"
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -147,6 +148,7 @@ def test_semigroup_at_the_closed_form_degree(tmp_path):
     code, text = run_cli(["semigroup", "1.6", "--p", "5", "--q", "5", "--r", "2", "--s", "1",
                           "--max-degree", "5"], tmp_path)
     assert code == 0 and json.loads(text)["data"]["match"]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SEMIGROUP_16_DEGREE_5_SHA256
 
 
 def test_semigroup_unknown_case():
@@ -184,6 +186,18 @@ def test_normality_command(tmp_path):
     doc = json.loads(text)
     assert doc["data"]["normal"]
     assert doc["data"]["covering_plus_heights"] == [2]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["normality", "1.6", "--p", "4", "--q", "4", "--r", "1", "--s", "1", "--bound", "3"],
+     "e97e35e09793243ffd9f67f822832433c7c879b5099968ee92026623a8d853b5"),
+    (["normality", "1.4", "--p", "5", "--bound", "3"],
+     "f99a0feab1542b7a09643b0505199c9a1c55810c066764b6c99f262a63d51e6f"),
+])
+def test_normality_golden_output(tmp_path, argv, digest):
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_cg_verify(tmp_path):

@@ -1,7 +1,11 @@
+import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from korbits import spherical as sp
 
 AX = sp.system_ax111()
 S14 = sp.system_case_1_4(5)
+SIMPLEX_MAX = linalg.simplex_max
 
 
 def test_leq_examples():
@@ -364,3 +369,150 @@ def test_weight_semigroup_ax111():
 def test_weight_semigroup_needs_designated():
     with pytest.raises(ValueError):
         sg.gamma_semigroup(sp.system_ay_a_ay(1, 1, 1), 2)
+
+
+def direct_box_bounds(system, e_vec, solved=None):
+    """Oracle for box_bounds: the k coordinate LPs solved at E itself.
+
+    `solved` maps (matrix, b, objective) to an optimum that simplex_max
+    already returned for exactly that LP; those are read back, not re-run.
+    """
+    rows = system.sigma_in_colors
+    a = tuple(tuple(row[i] for row in rows) for i in range(len(system.colors)))
+    k = len(rows)
+    out = []
+    for i in range(k):
+        key = (a, tuple(e_vec), tuple(int(j == i) for j in range(k)))
+        if solved is None or key not in solved:
+            status, val = SIMPLEX_MAX(a, list(e_vec), list(key[2]))
+            assert status == "optimal"
+        else:
+            val = solved[key]
+        out.append(int(val))
+    return out
+
+
+def two_wing_params(max_rs):
+    """The two-wing cases with r + s <= max_rs, generic (p = q) and boundary."""
+    out = []
+    for r in range(max_rs + 1):
+        for s in range(max_rs + 1 - r):
+            n = r + s + 2
+            for other in (n, n - 1):
+                out.append(("1.6", dict(p=n, q=other, r=r, s=s)))
+                out.append(("1.7", dict(p=other, q=n, r=r, s=s)))
+    return out
+
+
+def test_box_bounds_match_direct_lp(monkeypatch):
+    """Every target n1 D1 + n2 D2 of the Hilbert-basis degrees, in order of
+    degree so that 2 D1, 3 D1, 2 (D1 + D2), ... reuse the optima of their
+    ray, each on a fresh lattice; then 200 random E in 0..3 on the 1.4/1.5
+    lattices, as the is_minuscule queries draw them.  Each 1.7 system has
+    the color rows and designated colors of its 1.6 mirror, so the LPs of
+    the 40 two-wing cases are those of 20 systems.
+
+    An LP the lattice itself solved at E is the oracle's own LP, so the
+    oracle reads its optimum back; every other target is solved directly.
+    """
+    solved = {}
+
+    def recording(a, b, c):
+        status, val = SIMPLEX_MAX(a, b, c)
+        solved[(tuple(map(tuple, a)), tuple(b), tuple(c))] = val
+        return status, val
+
+    monkeypatch.setattr(linalg, "simplex_max", recording)
+    by_lp_data = {}
+    for case, prm in two_wing_params(3):
+        system = sg.build_case_system(case, prm)
+        by_lp_data.setdefault((system.sigma_in_colors, system.designated),
+                              (system, prm["r"] + prm["s"] + 2))
+    assert len(by_lp_data) == 20
+    cases = list(by_lp_data.values())
+    for p in range(4, 8):
+        cases += [(sp.system_case_1_4(p), 4), (sp.system_case_1_5(p), 4)]
+    lattices = []
+    for system, degree in cases:
+        lat = sg.SigmaLattice(system)
+        if system.name in ("case1.4", "case1.5"):
+            lattices.append((system, lat))
+        d1, d2 = system.designated
+        for total in range(degree + 1):
+            for n1 in range(total + 1):
+                e_vec = tuple(n1 * a + (total - n1) * b for a, b in zip(d1, d2))
+                assert lat.box_bounds(e_vec) == direct_box_bounds(system, e_vec, solved), \
+                    (system.name, n1, total - n1)
+    rng = random.Random(13)
+    for _ in range(200):
+        system, lat = rng.choice(lattices)
+        e_vec = tuple(rng.randint(0, 3) for _ in system.colors)
+        assert lat.box_bounds(e_vec) == direct_box_bounds(system, e_vec, solved), \
+            (system.name, e_vec)
+
+
+def test_box_bounds_one_lp_set_per_ray(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "simplex_max", lambda *a: calls.append(a) or SIMPLEX_MAX(*a))
+    for system in (S14, sp.system_case_1_6(4, 4, 1, 1)):
+        d1, d2 = system.designated
+        targets = [tuple(m * (a + 2 * b) for a, b in zip(d1, d2)) for m in (1, 2, 3)]
+        lat = sg.SigmaLattice(system)
+        calls.clear()
+        got = [lat.box_bounds(e_vec) for e_vec in targets]
+        assert len(calls) == lat.k
+        assert got == [direct_box_bounds(system, e_vec) for e_vec in targets]
+
+
+def test_box_bounds_recession_raises_every_call(monkeypatch):
+    # sigma_3 = -(D1 + D2 + D3) never leaves {M^t c <= E}: a recession direction.
+    bad = dataclasses.replace(AX, sigma_in_colors=((-1, 1, 1), (1, -1, 1), (-1, -1, -1)))
+    lat = sg.SigmaLattice(bad)
+    calls = []
+    monkeypatch.setattr(linalg, "simplex_max", lambda *a: calls.append(a) or SIMPLEX_MAX(*a))
+    for e_vec in ((1, 1, 1), (1, 1, 1), (2, 2, 2), (0, 0, 0)):
+        before = len(calls)
+        with pytest.raises(ValueError, match="recession direction"):
+            lat.box_bounds(e_vec)
+        assert len(calls) > before
+
+
+BAD_INPUT_SETUP = ("from korbits import linalg, semigroup as sg, spherical as sp\n"
+                   "S = sp.system_case_1_4(4)\n")
+BAD_INPUTS = [
+    ("sg.lattice(S).nsigma_coords((2, 2, 0, 0, 7))", "expected a vector of 4"),
+    ("sg.lattice(S).box_bounds((2, 2))", "expected a vector of 4"),
+    ("sg.is_minuscule(S, (2, 2, 0, 0, 7))", "expected a vector of 4"),
+    ("sg.is_minuscule(S, (2, 2))", "expected a vector of 4"),
+    ("sg.leq_sigma(S, (0, 0, 0, 0, 7), (2, 2, 0, 0))", "zip"),
+    ("sg.is_minuscule(S, (1, 0, 0, -1))", "N-Delta"),
+    ("sg.sections_decomposition(S, (2, 2, 0, -1))", "N-Delta"),
+    ("linalg.simplex_max([[1]], [-1], [1])", "b >= 0"),
+]
+
+
+@pytest.mark.parametrize("expr, message", BAD_INPUTS)
+def test_bad_semigroup_inputs_raise(expr, message):
+    names = {}
+    exec(BAD_INPUT_SETUP, names)
+    with pytest.raises(ValueError, match=message):
+        eval(expr, names)
+
+
+def test_bad_semigroup_inputs_raise_without_asserts():
+    """The same checks hold under `python -O`, which strips assert statements."""
+    script = BAD_INPUT_SETUP + (
+        "import re\n"
+        "if __debug__:\n"
+        "    raise SystemExit('asserts are on')\n"
+        f"for expr, message in {BAD_INPUTS!r}:\n"
+        "    try:\n"
+        "        eval(expr)\n"
+        "    except ValueError as exc:\n"
+        "        if re.search(message, str(exc)):\n"
+        "            continue\n"
+        "    raise SystemExit(f'{expr} did not raise ValueError({message!r})')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sg.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
