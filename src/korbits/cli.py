@@ -1,4 +1,5 @@
-"""Batch CLI producing deterministic JSON/TSV reports.
+"""Batch CLI producing deterministic JSON reports, and TSV tables for the
+commands that have one (pairs, orbits, semigroup).
 
 Identical invocations produce byte-identical files: all data is emitted in
 canonical order with sorted keys and no timestamps; run metadata (tool
@@ -27,10 +28,10 @@ def _report(command, params, data):
             "data": data}
 
 
-def _emit(report, fmt, out, tsv_rows=None):
+def _emit(report, out, fmt="json", tsv_rows=()):
+    """Write the report as JSON, or its TSV table where the command has one."""
     if fmt == "tsv":
-        lines = ["\t".join(str(x) for x in row) for row in (tsv_rows or [])]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join("\t".join(str(x) for x in row) for row in tsv_rows) + "\n"
     else:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
@@ -56,23 +57,25 @@ def _cmd_pairs(args):
     tsv = [["key", "family", "m", "p1_weight", "p2_weight"]] + [
         [r["key"], r["family"], r["m"], r["p1_weight"], r["p2_weight"]] for r in rows]
     _emit(_report("pairs", {"type": args.type, "rank": args.rank}, rows),
-          args.format, args.out, tsv)
+          args.out, args.format, tsv)
     return 0
 
 
-def _cmd_orbits(args):
-    pair = parse_pair_key(args.pair)
+def _orbit_rows(pair, max_params=None):
+    """(rows, ok): the verified report row of every catalogued orbit of the pair."""
     checked = [orbits.verify_orbit(orbits.build_triple(rec))
-               for rec in orbits.list_orbits(pair, args.max_params)]
-    rows = [row for row, _ in checked]
-    ok = all(good for _, good in checked)
+               for rec in orbits.list_orbits(pair, max_params)]
+    return [row for row, _ in checked], all(good for _, good in checked)
+
+
+def _cmd_orbits(args):
+    rows, ok = _orbit_rows(parse_pair_key(args.pair), args.max_params)
     tsv = [["orbit", "signed_partition", "ht_p", "codim", "sl2_ok", "spherical"]] + [
         [r["orbit"],
-         "".join(f"({sg}{a}^{m})" for a, sg, m in
-                 [(x[0], x[1], x[2]) for x in r["signed_partition"]]),
+         "".join(f"({sg}{a}^{m})" for a, sg, m in r["signed_partition"]),
          r["ht_p"], "-", r["sl2_ok"], r["spherical"]] for r in rows]
     _emit(_report("orbits", {"pair": args.pair, "max_params": args.max_params},
-                  {"rows": rows, "all_ok": ok}), args.format, args.out, tsv)
+                  {"rows": rows, "all_ok": ok}), args.out, args.format, tsv)
     return 0 if ok else 1
 
 
@@ -81,7 +84,7 @@ def _cmd_triple(args):
     triple = orbits.build_triple(rec)
     data = orbits.triple_to_json(triple)
     data["checks"] = orbits.verify_triple(triple)
-    _emit(_report("triple", {"orbit": args.orbit}, data), args.format, args.out)
+    _emit(_report("triple", {"orbit": args.orbit}, data), args.out)
     return 0 if all(data["checks"].values()) else 1
 
 
@@ -107,12 +110,19 @@ def _closed_forms(case, params, max_degree):
     return closed
 
 
+def _check_case(case, params, closed, max_degree):
+    """(system, enum, match, normal): the case's system, its generators up to
+    max_degree, whether they are the closed forms, and the normality verdict."""
+    system = build_case_system(case, params)
+    enum = gamma_semigroup(system, max_degree)
+    match = sorted(g.key() for g in enum) == sorted(g.key() for g in closed)
+    return system, enum, match, normality_check(system)["normal"]
+
+
 def _cmd_semigroup(args):
     params = _case_params(args)
-    system = build_case_system(args.case, params)
     closed = _closed_forms(args.case, params, args.max_degree)
-    enum = gamma_semigroup(system, args.max_degree)
-    match = sorted(g.key() for g in enum) == sorted(g.key() for g in closed)
+    system, enum, match, normal = _check_case(args.case, params, closed, args.max_degree)
     lat = semigroup.lattice(system)
     d1, d2 = system.designated
     rows = []
@@ -128,7 +138,7 @@ def _cmd_semigroup(args):
         "generators": rows,
         "closed_form": [{"n1": g.n1, "n2": g.n2, "E": list(g.E)} for g in closed],
         "match": match,
-        "normal": normality_check(system)["normal"],
+        "normal": normal,
         "gamma_sigma_generators": [list(c) for c in gamma_sigma_semigroup(system, args.max_degree)],
     }
     tsv = [["case", "params", "n1", "n2", "E"]] + [
@@ -136,7 +146,7 @@ def _cmd_semigroup(args):
         for r in rows]
     _emit(_report("semigroup", {"case": args.case, **params,
                                 "max_degree": args.max_degree}, data),
-          args.format, args.out, tsv)
+          args.out, args.format, tsv)
     return 0 if match else 1
 
 
@@ -153,7 +163,7 @@ def _cmd_normality(args):
             "covering_differences": [list(c) for c in covers],
             "covering_plus_heights": heights}
     _emit(_report("normality", {"case": args.case, **params, "bound": args.bound}, data),
-          args.format, args.out)
+          args.out)
     return 0 if res["normal"] else 1
 
 
@@ -165,7 +175,7 @@ def _cmd_cg_verify(args):
     if top is None:
         raise SystemExit("error: cg-verify needs a maximum entry (positional or --max-entry)")
     data = cg.section_sweep(top)
-    _emit(_report("cg-verify", {"max_entry": top}, data), args.format, args.out)
+    _emit(_report("cg-verify", {"max_entry": top}, data), args.out)
     return 0 if data["ok"] else 1
 
 
@@ -178,23 +188,17 @@ def _cmd_report_all(args):
     sections = {}
     for t, n in (("A", 4), ("B", 3), ("C", 2), ("D", 5)):
         for spec in enumerate_pairs(t, n):
-            checked = [orbits.verify_orbit(orbits.build_triple(rec))
-                       for rec in orbits.list_orbits(spec)]
-            sections[f"orbits/{spec.key()}"] = [row for row, _ in checked]
-            if not all(ok for _, ok in checked):
+            sections[f"orbits/{spec.key()}"], ok = _orbit_rows(spec)
+            if not ok:
                 status = 1
     for case, params, closed in semigroup_cases:
-        system = build_case_system(case, params)
-        enum = gamma_semigroup(system, args.max_degree)
-        match = sorted(g.key() for g in enum) == sorted(g.key() for g in closed)
-        normal = normality_check(system)["normal"]
+        _, enum, match, normal = _check_case(case, params, closed, args.max_degree)
         sections[f"semigroup/{case}"] = {
             "params": params, "match": match, "normal": normal,
             "generators": [[g.n1, g.n2, list(g.E)] for g in enum]}
         if not (match and normal):
             status = 1
-    _emit(_report("report-all", {"max_degree": args.max_degree}, sections),
-          args.format, args.out)
+    _emit(_report("report-all", {"max_degree": args.max_degree}, sections), args.out)
     return status
 
 
@@ -216,20 +220,21 @@ def build_parser():
                                  description="spherical nilpotent K-orbit toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
+    def common(p, tsv=False):
+        if tsv:   # only a command with a TSV table takes --format
+            p.add_argument("--format", choices=("json", "tsv"), default="json")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("pairs", help="list Hermitian pairs of a type/rank")
     p.add_argument("type")
     p.add_argument("rank", type=int)
-    common(p)
+    common(p, tsv=True)
     p.set_defaults(func=_cmd_pairs)
 
     p = sub.add_parser("orbits", help="orbit sweep with verification columns")
     p.add_argument("pair")
     p.add_argument("--max-params", type=int, default=None)
-    common(p)
+    common(p, tsv=True)
     p.set_defaults(func=_cmd_orbits)
 
     p = sub.add_parser("triple", help="matrices of one orbit representative")
@@ -237,14 +242,14 @@ def build_parser():
     common(p)
     p.set_defaults(func=_cmd_triple)
 
-    def case_args(p):
+    def case_args(p, tsv=False):
         p.add_argument("case")
         for name in ("p", "q", "r", "s"):
             p.add_argument(f"--{name}", type=int, default=None)
-        common(p)
+        common(p, tsv)
 
     p = sub.add_parser("semigroup", help="weight-semigroup generators of a case")
-    case_args(p)
+    case_args(p, tsv=True)
     p.add_argument("--max-degree", type=_int_at_least(1), default=4)
     p.set_defaults(func=_cmd_semigroup)
 

@@ -17,7 +17,9 @@ Matrix conventions per family (all bases ordered as in the case formulas):
 
 For x = 1, 3, 5, case x.1 (2^r) is case x.3 (2^r, -2^s) with s = 0 and
 case x.2 (-2^r) is x.3 with r = 0, so only the x.3 formulas are written
-down.  Cases 2.y and 4.y share one table in dim V = 2n-1 or 2n-2.
+down.  Cases 1.5 and 1.7 are 1.4 and 1.6 of the pair with p and q (and r
+and s) exchanged, moved back from C^q + C^p to C^p + C^q.  Cases 2.y and
+4.y share one table in dim V = 2n-1 or 2n-2.
 
 A realization keeps only the k- and p-bases; the Borel subalgebra b and
 its opposite nilradical n- are read off the k-basis; membership in g, k and
@@ -110,6 +112,17 @@ def _two_sided(rec):
         r, s = (r, 0) if sub == "1" else (0, r)
         return f"{family}.3", r, s
     return rec.case_id, r, s
+
+
+def _slpq_formula(rec):
+    """(case, p, q, r, s, mirrored): the 1.3, 1.4 or 1.6 formula that covers
+    an SL(p+q) record and the parameters it reads.  Cases 1.5 and 1.7 mirror
+    1.4 and 1.6: they read p, q, r, s exchanged."""
+    case, r, s = _two_sided(rec)
+    p, q = rec.pair.pq
+    if case in ("1.5", "1.7"):
+        return {"1.5": "1.4", "1.7": "1.6"}[case], q, p, s, r, True
+    return case, p, q, r, s, False
 
 
 @dataclass(frozen=True)
@@ -475,19 +488,14 @@ def expected_dims(rec):
     n = rec.pair.rank
     family = rec.pair.family_id
     if family == SLPQ:
-        p, q = rec.pair.pq
+        c, p, q, r, s, _ = _slpq_formula(rec)
         if c == "1.3":
             return (2 * r * r + 2 * s * s + (p - r - s) ** 2 + (q - r - s) ** 2 - 1,
                     r * r + s * s + (p - r - s) ** 2 + (q - r - s) ** 2 - 1, 0)
-        if c in ("1.4", "1.5"):
-            d = p - 4 if c == "1.4" else q - 4
-            return (d * d + 11, d * d + 3, 0)
-        if c == "1.6":
-            return (2 * r * r + 2 * s * s + (p - r - s - 2) ** 2 + (q - r - s) ** 2 + 1,
-                    r * r + s * s + (p - r - s - 2) ** 2 + (q - r - s - 1) ** 2,
-                    r + s)
-        return (2 * r * r + 2 * s * s + (q - r - s - 2) ** 2 + (p - r - s) ** 2 + 1,
-                r * r + s * s + (q - r - s - 2) ** 2 + (p - r - s - 1) ** 2,
+        if c == "1.4":
+            return ((p - 4) ** 2 + 11, (p - 4) ** 2 + 3, 0)
+        return (2 * r * r + 2 * s * s + (p - r - s - 2) ** 2 + (q - r - s) ** 2 + 1,
+                r * r + s * s + (p - r - s - 2) ** 2 + (q - r - s - 1) ** 2,
                 r + s)
     if family in (SO_ODD, SO_EVEN_VECTOR):
         v = 2 * n - (1 if family == SO_ODD else 2)  # dim V
@@ -513,8 +521,7 @@ def expected_dims(rec):
 # Triple construction
 
 def _build_slpq(rec, real):
-    p, q = rec.pair.pq
-    case, r, s = _two_sided(rec)
+    case, p, q, r, s, mirrored = _slpq_formula(rec)
     e, f = {}, {}
     hv, hw = [0] * p, [0] * q
 
@@ -548,16 +555,7 @@ def _build_slpq(rec, real):
             up(f, i, j, 2)
         hv[0] = hv[1] = 2
         hv[p - 2] = hv[p - 1] = -2
-    elif case == "1.5":
-        for i, j in ((1, q - 1), (2, q)):
-            up(e, i, j)
-            lo(f, i, j, 2)
-        for i in (1, 2):
-            lo(e, i, i)
-            up(f, i, i, 2)
-        hw[0] = hw[1] = 2
-        hw[q - 2] = hw[q - 1] = -2
-    elif case == "1.6":
+    else:  # 1.6
         up(e, 1, q - r)
         lo(f, 1, q - r, 2)
         lo(e, p, q - r)
@@ -567,16 +565,11 @@ def _build_slpq(rec, real):
             two_plus(i + 1, q - r + i)
         for i in range(1, s + 1):
             two_minus(p - s + i - 1, i)
-    else:  # 1.7
-        up(e, p - s, q)
-        lo(f, p - s, q, 2)
-        lo(e, p - s, 1)
-        up(f, p - s, 1, 2)
-        hw[0], hw[q - 1] = 2, -2
-        for i in range(1, r + 1):
-            two_plus(i, q - r + i - 1)
-        for i in range(1, s + 1):
-            two_minus(p - s + i, i + 1)
+    if mirrored:
+        # Back from C^q + C^p to C^p + C^q: x moves to (x + p0) mod n, p0 the record's p.
+        p0, n = rec.pair.pq[0], p + q
+        e, f = ({((i + p0) % n, (j + p0) % n): v for (i, j), v in m.items()} for m in (e, f))
+        return hw + hv, e, f
     return hv + hw, e, f
 
 

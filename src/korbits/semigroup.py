@@ -38,7 +38,6 @@ class SigmaLattice:
     """Exact coordinate solver for Z-Sigma inside Z-Delta, with enumeration."""
 
     def __init__(self, system):
-        self.system = system
         self.rows = [list(r) for r in system.sigma_in_colors]
         self.k = len(self.rows)
         self.ncol = len(system.colors)

@@ -154,16 +154,13 @@ class TwoWingSystem:
         mirror = case_id == "1.7"
         if r < 0 or s < 0:
             raise ValueError("wing sizes must be nonnegative")
-        if not mirror:
-            if r + s + 2 > p or r + s + 1 > q:
-                raise ValueError("parameters out of range: need r+s+2 <= p, r+s+1 <= q")
-            self.boundary = r + s == q - 1
-            merge = p == r + s + 2
-        else:
-            if r + s + 1 > p or r + s + 2 > q:
-                raise ValueError("parameters out of range: need r+s+1 <= p, r+s+2 <= q")
-            self.boundary = r + s == p - 1
-            merge = q == r + s + 2
+        # 1.7 is 1.6 with p and q exchanged: a and b are 1.6's p and q.
+        a, b = (q, p) if mirror else (p, q)
+        if r + s + 2 > a or r + s + 1 > b:
+            need = "r+s+1 <= p, r+s+2 <= q" if mirror else "r+s+2 <= p, r+s+1 <= q"
+            raise ValueError(f"parameters out of range: need {need}")
+        self.boundary = r + s == b - 1
+        merge = a == r + s + 2
         self.p, self.q, self.r1, self.r2 = p, q, r, s
 
         # Color slots (k, h); absent slots are dropped, the boundary regime
@@ -243,29 +240,27 @@ class TwoWingSystem:
                 v[j] += 1
             return LatticeVector(SIMPLE_ROOTS, tuple(v))
 
+        # The wing roots sit at the two ends of both factors, odd and even
+        # exchanged in 1.7; tau and S^p run along the middle of the factors,
+        # tau along A(q-1) in 1.6 and along A(p-1) in 1.7.
         roots = {}
-        if not mirror:
-            for i in range(1, r + 1):
-                roots[f"s1_{2 * i - 1}"] = simple([a_root(p - i)])
-                roots[f"s1_{2 * i}"] = simple([ap_root(i)])
-            for i in range(1, s + 1):
-                roots[f"s2_{2 * i - 1}"] = simple([a_root(i)])
-                roots[f"s2_{2 * i}"] = simple([ap_root(q - i)])
-            if not self.boundary:
-                roots["tau"] = simple([ap_root(j) for j in range(r + 1, q - s)])
-            sp = ([a_root(j) for j in range(s + 2, p - r - 1)]
-                  + ([ap_root(j) for j in range(r + 2, q - s - 1)] if not self.boundary else []))
-        else:
-            for i in range(1, r + 1):
-                roots[f"s1_{2 * i - 1}"] = simple([ap_root(i)])
-                roots[f"s1_{2 * i}"] = simple([a_root(p - i)])
-            for i in range(1, s + 1):
-                roots[f"s2_{2 * i - 1}"] = simple([ap_root(q - i)])
-                roots[f"s2_{2 * i}"] = simple([a_root(i)])
-            if not self.boundary:
-                roots["tau"] = simple([a_root(j) for j in range(s + 1, p - r)])
-            sp = ([ap_root(j) for j in range(r + 2, q - s - 1)]
-                  + ([a_root(j) for j in range(s + 2, p - r - 1)] if not self.boundary else []))
+        wings = ([(1, i, a_root(p - i), ap_root(i)) for i in range(1, r + 1)]
+                 + [(2, i, a_root(i), ap_root(q - i)) for i in range(1, s + 1)])
+        for k, i, x, y in wings:
+            if mirror:
+                x, y = y, x
+            roots[f"s{k}_{2 * i - 1}"], roots[f"s{k}_{2 * i}"] = simple([x]), simple([y])
+
+        def along_a(pad):
+            return [a_root(j) for j in range(s + pad, p - r - pad + 1)]
+
+        def along_ap(pad):
+            return [ap_root(j) for j in range(r + pad, q - s - pad + 1)]
+
+        tau_run, other = (along_a, along_ap) if mirror else (along_ap, along_a)
+        if not self.boundary:
+            roots["tau"] = simple(tau_run(1))
+        sp = other(2) + ([] if self.boundary else tau_run(2))
 
         rows, names = self._rows()
         colors = tuple(f"D{k}_{h}" for k, h in self.slots)

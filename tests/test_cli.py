@@ -193,11 +193,26 @@ def test_normality_command(tmp_path):
      "e97e35e09793243ffd9f67f822832433c7c879b5099968ee92026623a8d853b5"),
     (["normality", "1.4", "--p", "5", "--bound", "3"],
      "f99a0feab1542b7a09643b0505199c9a1c55810c066764b6c99f262a63d51e6f"),
+    # The mirror cases, built from the 1.4 and 1.6 formulas with p and q exchanged.
+    (["semigroup", "1.5", "--q", "5"],
+     "430cd2cad5781e24af46bbe032e9b6f81f22347b7519bf87ad975fad968e2415"),
+    (["semigroup", "1.7", "--p", "5", "--q", "4", "--r", "1", "--s", "1"],
+     "098debb62ebe254dff5b386b95e149ac89b075a1a502fb8f91d9074bf01f417a"),
 ])
 def test_normality_golden_output(tmp_path, argv, digest):
     code, text = run_cli(argv, tmp_path)
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [["triple", "A:3:p=2/1.1/r=1"], ["normality", "1.4", "--p", "5"],
+                                  ["cg-verify", "2"], ["report-all"]])
+def test_format_only_where_a_table_exists(argv, tmp_path, capsys):
+    # These reports have no TSV table: --format tsv must not write an empty file.
+    out = tmp_path / "out.tsv"
+    assert main(argv + ["--format", "tsv", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --format tsv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cg_verify(tmp_path):
