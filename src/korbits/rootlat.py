@@ -35,21 +35,6 @@ class LatticeVector:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
 
-    def _check(self, other):
-        if self.basis != other.basis or len(self.coords) != len(other.coords):
-            raise ValueError("lattice vectors live in different bases")
-
-    def __add__(self, other):
-        self._check(other)
-        return LatticeVector(self.basis, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return LatticeVector(self.basis, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c):
-        return LatticeVector(self.basis, tuple(c * a for a in self.coords))
-
 
 def _validate(type_, rank):
     if type_ not in CLASSICAL_TYPES:

@@ -30,9 +30,6 @@ class SemigroupTriple:
     def key(self):
         return (self.n1, self.n2, self.E)
 
-    def as_tuple(self):
-        return (self.n1, self.n2) + self.E
-
 
 class SigmaLattice:
     """Exact coordinate solver for Z-Sigma inside Z-Delta, with enumeration."""
@@ -386,161 +383,3 @@ def closed_form_generators(case_id, params):
         assert lat.nsigma_coords(target) is not None, (case_id, params, g)
     return sorted(gens, key=SemigroupTriple.key)
 
-
-def _gamma_k_vec(tw, k, i):
-    """sigma-coordinates of gamma^k_i in the system's sigma order."""
-    names = tw.system.sigma_names
-    c = [0] * len(names)
-    for u in range(1, i):
-        c[names.index(f"s{k}_{2 * u - 1}")] += i - u
-        c[names.index(f"s{k}_{2 * u}")] += i - u
-    return tuple(c)
-
-
-def _gamma_ij_vec(tw, i, j):
-    names = tw.system.sigma_names
-    c = list(_gamma_k_vec(tw, 1, i))
-    for t, v in enumerate(_gamma_k_vec(tw, 2, j)):
-        c[t] += v
-    for u in range(i, tw.r1 + 1):
-        c[names.index(f"s1_{2 * u}")] += 1
-    for v in range(j, tw.r2 + 1):
-        c[names.index(f"s2_{2 * v}")] += 1
-    if not tw.boundary:
-        c[names.index("tau")] += 1
-    return tuple(c)
-
-
-def witness_decomposition(case_id, params, gamma_coords):
-    """Constructive decomposition of gamma into closed-form generators.
-
-    gamma is given in sigma-coordinates of the case system.  Returns
-    (coefficients, internals) where coefficients maps generator tags
-    ("g1", i), ("g2", j), ("gij", i, j) to nonnegative integers and the
-    recombination is verified exactly; internals exposes the intermediate
-    quantities of the construction (b, c1, c2 in the boundary regime).
-    """
-    if case_id in ("1.4", "1.5"):
-        return _witness_14(case_id, params, gamma_coords)
-    tw = two_wing_structure(case_id, *_case_args(case_id, params))
-    sys_ = tw.system
-    names = sys_.sigma_names
-    lat = lattice(sys_)
-    gamma_cols = lat.colors_of(gamma_coords)
-    d1, d2 = _designated(sys_)
-    allowed = {i for i, x in enumerate(d1) if x} | {i for i, x in enumerate(d2) if x}
-    if any(x > 0 for i, x in enumerate(gamma_cols) if i not in allowed) or \
-            any(x < 0 for x in gamma_coords):
-        raise ValueError("gamma is not in the semigroup")
-
-    def a(k, h):
-        nm = f"s{k}_{h}"
-        return gamma_coords[names.index(nm)] if nm in names else 0
-
-    def d(k, h):
-        j = tw.col(k, h)
-        return gamma_cols[j] if j is not None else 0
-
-    r1, r2 = tw.r1, tw.r2
-    coeffs = {}
-    internals = {}
-    if not tw.boundary:
-        b = gamma_coords[names.index("tau")]
-        internals["b"] = b
-        for k, rk in ((1, r1), (2, r2)):
-            for i in range(2, rk + 2):
-                td = d(k, 2 * i) if i <= rk else d(k, 2 * rk + 3)
-                if td:
-                    coeffs[(f"g{k}", i)] = -td
-        n = {1: [0], 2: [0]}
-        for k, rk in ((1, r1), (2, r2)):
-            for i in range(1, rk + 1):
-                n[k].append(n[k][-1] - d(k, 2 * i - 1))
-            n[k].append(b)
-            assert n[k][-2] <= b
-        for i in range(1, r1 + 2):
-            for j in range(1, r2 + 2):
-                lo = max(n[1][i - 1], n[2][j - 1])
-                hi = min(n[1][i], n[2][j])
-                if hi > lo:
-                    coeffs[("gij", i, j)] = hi - lo
-    else:
-        if r1 and r2:
-            a1r, a2r = a(1, 2 * r1), a(2, 2 * r2)
-            a1o, a2o = a(1, 2 * r1 - 1), a(2, 2 * r2 - 1)
-            # c1 is attached to the overflow row (the gamma^1_{r1+1}
-            # coefficient), c2 to the overflow column; the constraint system
-            # forces c1 - c2 = a2r - a1r, and membership makes the stated b
-            # satisfy every bound including the empty-corner condition.
-            if a1r <= a2r:
-                b = min(a2o, a1o + a2r - a1r)
-                c1, c2 = a2r - a1r - b, -b
-            else:
-                b = min(a1o, a2o + a1r - a2r)
-                c1, c2 = -b, a1r - a2r - b
-            internals.update(b=b, c1=c1, c2=c2)
-            for k, rk in ((1, r1), (2, r2)):
-                for i in range(2, rk + 1):
-                    if d(k, 2 * i):
-                        coeffs[(f"g{k}", i)] = -d(k, 2 * i)
-            if c1:
-                coeffs[("g1", r1 + 1)] = -c1
-            if c2:
-                coeffs[("g2", r2 + 1)] = -c2
-            rows = [-d(1, 2 * i - 1) for i in range(1, r1 + 1)] + [-(d(1, 2 * r1 + 1) - c2)]
-            cols = [-d(2, 2 * j - 1) for j in range(1, r2 + 1)] + [-(d(2, 2 * r2 + 1) - c1)]
-            assert all(x >= 0 for x in rows + cols) and sum(rows) == sum(cols)
-            nr = [0]
-            for x in rows:
-                nr.append(nr[-1] + x)
-            nc = [0]
-            for x in cols:
-                nc.append(nc[-1] + x)
-            for i in range(1, r1 + 2):
-                for j in range(1, r2 + 2):
-                    hi = min(nr[i], nc[j])
-                    lo = max(nr[i - 1], nc[j - 1])
-                    if hi > lo:
-                        assert i + j < r1 + r2 + 2, "corner cell must stay empty"
-                        coeffs[("gij", i, j)] = hi - lo
-        else:
-            # At most one wing is non-empty; with none, gamma = 0 and the
-            # decomposition is empty.
-            for k, rk in ((1, r1), (2, r2)):
-                for i in range(2, rk + 2):
-                    if d(k, 2 * i):
-                        coeffs[(f"g{k}", i)] = -d(k, 2 * i)
-                for i in range(1, rk + 1):
-                    if d(k, 2 * i - 1):
-                        coeffs[("gij", i, 1) if k == 1 else ("gij", 1, i)] = -d(k, 2 * i - 1)
-
-    total = [0] * len(names)
-    for tag, mult in coeffs.items():
-        assert mult >= 0
-        if tag[0] == "g1":
-            vec = _gamma_k_vec(tw, 1, tag[1])
-        elif tag[0] == "g2":
-            vec = _gamma_k_vec(tw, 2, tag[1])
-        else:
-            vec = _gamma_ij_vec(tw, tag[1], tag[2])
-        for t, v in enumerate(vec):
-            total[t] += mult * v
-    if tuple(total) != tuple(gamma_coords):
-        raise AssertionError("recombination identity failed")
-    return coeffs, internals
-
-
-def _witness_14(case_id, params, gamma_coords):
-    """gamma = a1 s1 + a2 s2 + a3 s3 with a1 >= a2 + a3 decomposes on
-    {s1, s1+s2, s1+s3} greedily; unique since the generators are free."""
-    a1, a2, a3 = gamma_coords
-    if a1 < a2 + a3 or min(a1, a2, a3) < 0:
-        raise ValueError("gamma is not in the semigroup")
-    coeffs = {}
-    if a2:
-        coeffs[("g12",)] = a2
-    if a3:
-        coeffs[("g13",)] = a3
-    if a1 - a2 - a3:
-        coeffs[("g1",)] = a1 - a2 - a3
-    return coeffs, {}

@@ -13,8 +13,7 @@ Encoded systems:
 * the two-wing systems of the (+3, 2^r, -2^s, ...) cases and their mirrors,
   in both the generic and the tau-less boundary regime, including the
   degenerate wings r = 0 / s = 0 and the end-color identification at the
-  minimal first parameter;
-* a^y(r,r) + a(t) + a^y(s,s), with its catalogued distinguished quotient.
+  minimal first parameter.
 
 Row data for the two-wing systems is reconstructed from the coefficient
 identities of the generator construction (the gamma^k_i and gamma_{i,j}
@@ -78,10 +77,6 @@ class SphericalSystem:
             "designated": None if self.designated is None else
                 [None if d is None else list(d) for d in self.designated],
         }
-
-
-# Quotient data is catalogued per system instance.
-_QUOTIENTS = {}
 
 
 def system_ax111():
@@ -295,105 +290,3 @@ def two_wing_structure(case_id, p, q, r, s):
         raise ValueError(f"not a two-wing case: {case_id}")
     return TwoWingSystem(case_id, p, q, r, s)
 
-
-def system_ay_a_ay(r, t, s):
-    """The localized system a^y(r,r) + a(t) + a^y(s,s) with its quotient."""
-    if r < 1 or s < 1 or t < 1:
-        raise ValueError("need r, s >= 1 and t >= 1")
-    rs = RootSystem((("A", r), ("A", r + s + t), ("A", s)))
-    off1, off2, off3 = rs.offsets()
-    ncol = 2 * r + 2 * s + 4
-    colors = tuple(f"D{i}" for i in range(1, ncol + 1))
-
-    def row(entries):
-        v = [0] * ncol
-        for d, c in entries:
-            v[d - 1] += c
-        return tuple(v)
-
-    def simple(idx_list):
-        v = [0] * rs.total_rank
-        for j in idx_list:
-            v[j] += 1
-        return LatticeVector(SIMPLE_ROOTS, tuple(v))
-
-    names, sigma, rows = [], [], []
-    names.append("a1")
-    sigma.append(simple([off1]))
-    rows.append(row([(1, 1), (2, 1), (3, -1)]))
-    for i in range(2, r + 1):
-        names.append(f"a{i}")
-        sigma.append(simple([off1 + i - 1]))
-        rows.append(row([(2 * i - 2, -1), (2 * i - 1, 1), (2 * i, 1), (2 * i + 1, -1)]))
-    for i in range(1, r + 1):
-        names.append(f"a'{i}")
-        sigma.append(simple([off2 + i - 1]))
-        rows.append(row([(2 * i - 1, -1), (2 * i, 1), (2 * i + 1, 1), (2 * i + 2, -1)]))
-    names.append("tau")
-    sigma.append(simple([off2 + j for j in range(r, r + t)]))
-    rows.append(row([(2 * r + 1, -1), (2 * r + 2, 1), (2 * r + 3, 1), (2 * r + 4, -1)]))
-    for i in range(1, s + 1):
-        names.append(f"a'{r + t + i}")
-        sigma.append(simple([off2 + r + t + i - 1]))
-        rows.append(row([(2 * r + 2 * i + 1, -1), (2 * r + 2 * i + 2, 1),
-                         (2 * r + 2 * i + 3, 1), (2 * r + 2 * i + 4, -1)]))
-    for i in range(1, s):
-        names.append(f"a''{i}")
-        sigma.append(simple([off3 + i - 1]))
-        rows.append(row([(2 * r + 2 * i + 2, -1), (2 * r + 2 * i + 3, 1),
-                         (2 * r + 2 * i + 4, 1), (2 * r + 2 * i + 5, -1)]))
-    names.append(f"a''{s}")
-    sigma.append(simple([off3 + s - 1]))
-    rows.append(row([(2 * r + 2 * s + 2, -1), (2 * r + 2 * s + 3, 1), (2 * r + 2 * s + 4, 1)]))
-
-    s_p = tuple(off2 + j - 1 for j in range(r + 2, r + t))
-    sys_ = SphericalSystem("ay_a_ay", rs, s_p, tuple(names), tuple(sigma), colors, tuple(rows))
-
-    delta1 = [f"D{2 * i}" for i in range(1, r + 1)]
-    delta2 = [f"D{2 * r + 2 * i + 3}" for i in range(1, s + 1)]
-    quotient_sigma = []
-    for i in range(2, r + 1):
-        quotient_sigma.append((f"a{i}", f"a'{i - 1}"))
-    quotient_sigma.append(("tau",))
-    for i in range(1, s):
-        quotient_sigma.append((f"a'{r + t + 1 + i}", f"a''{i}"))
-    _QUOTIENTS[sys_] = (frozenset(delta1 + delta2), tuple(quotient_sigma))
-    return sys_
-
-
-def quotient_by_colors(system, delta_prime):
-    """Quotient by a catalogued distinguished set of colors.
-
-    Only the a^y + a + a^y quotient (and the trivial empty set) is
-    supported; anything else raises.
-    """
-    delta_prime = frozenset(delta_prime)
-    unknown = delta_prime - set(system.colors)
-    if unknown:
-        raise ValueError(f"not colors of the system: {sorted(unknown)}")
-    if not delta_prime:
-        return system
-    cat = _QUOTIENTS.get(system)
-    if cat is None or cat[0] != delta_prime:
-        raise ValueError("color subset is not a catalogued distinguished set")
-    _, combos = cat
-    keep = [i for i, c in enumerate(system.colors) if c not in delta_prime]
-    name_of = {nm: i for i, nm in enumerate(system.sigma_names)}
-    new_rows, new_sigma, new_names = [], [], []
-    for combo in combos:
-        idxs = [name_of[nm] for nm in combo]
-        full = [sum(system.sigma_in_colors[i][j] for i in idxs)
-                for j in range(len(system.colors))]
-        for j, x in enumerate(full):
-            if x and system.colors[j] in delta_prime:
-                raise ValueError("catalogued quotient data fails the projection check")
-        new_rows.append(tuple(full[j] for j in keep))
-        vec = system.sigma[idxs[0]]
-        for i in idxs[1:]:
-            vec = vec + system.sigma[i]
-        new_sigma.append(vec)
-        new_names.append("+".join(combo))
-    return SphericalSystem(system.name + "/quotient", system.ambient, system.s_p,
-                           tuple(new_names), tuple(new_sigma),
-                           tuple(system.colors[j] for j in keep),
-                           tuple(new_rows), None)

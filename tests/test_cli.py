@@ -1,10 +1,13 @@
+import ast
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import korbits
 from korbits import orbits
 from korbits.cli import main
 
@@ -193,6 +196,8 @@ def test_normality_command(tmp_path):
      "e97e35e09793243ffd9f67f822832433c7c879b5099968ee92026623a8d853b5"),
     (["normality", "1.4", "--p", "5", "--bound", "3"],
      "f99a0feab1542b7a09643b0505199c9a1c55810c066764b6c99f262a63d51e6f"),
+    (["semigroup", "1.4", "--p", "5"],
+     "1e4473711480132dd6645ad8cac88b21f24b4f52ff9a5e5c4d1f020b36fdfa85"),
     # The mirror cases, built from the 1.4 and 1.6 formulas with p and q exchanged.
     (["semigroup", "1.5", "--q", "5"],
      "430cd2cad5781e24af46bbe032e9b6f81f22347b7519bf87ad975fad968e2415"),
@@ -280,3 +285,94 @@ def test_module_entrypoint_runs():
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+# Each command once; run in a fresh interpreter so that no cache filled by an
+# earlier test hides a function that only runs on a cache miss.
+REACH_ARGV = [
+    ["pairs", "A", "5"],
+    ["orbits", "A:3:p=2"], ["orbits", "B:3"], ["orbits", "C:2"],
+    ["orbits", "D:5:vec"], ["orbits", "D:4:gl"],
+    ["triple", "A:3:p=2/1.1/r=1"],
+    ["semigroup", "1.4", "--p", "5"], ["semigroup", "1.5", "--q", "5"],
+    ["semigroup", "1.6", "--p", "4", "--q", "4", "--r", "1", "--s", "1"],
+    ["semigroup", "1.7", "--p", "4", "--q", "4", "--r", "1", "--s", "1"],
+    ["normality", "1.4", "--p", "5"],
+    ["cg-verify", "2"],
+    ["report-all"],
+]
+REACH_SCRIPT = """
+import json, os, sys
+src, argvs = sys.argv[1], json.loads(sys.argv[2])
+reached = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(src):
+        reached.add((os.path.basename(code.co_filename), code.co_firstlineno, code.co_name))
+
+sys.setprofile(profile)
+from korbits.cli import main
+codes = [main(argv + ["--out", os.devnull]) for argv in argvs]
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "reached": sorted(reached)}))
+"""
+
+# Top-level src/ functions and methods that no command runs, each kept for
+# a stated reason.
+UNREACHED_ALLOWLIST = {
+    # Reference oracles the tests compare against.
+    "rootlat._dot", "rootlat.simple_roots_euclidean", "rootlat.all_roots_euclidean",
+    "rootlat.highest_root_euclidean", "rootlat.pairing_with_coroot",
+    "rootlat.cocharacter_order", "linalg.solve", "orbits.Realization.in_g",
+    # Dense matrix helpers, the tests' reference for the sparse orbit layer.
+    "linalg.identity", "linalg.mat_mul", "linalg.mat_add", "linalg.mat_sub",
+    # Wrapped by the benchmark tracer through a bare getattr.
+    "linalg.commutator",
+    # Library calls the benchmark makes.
+    "semigroup.leq_sigma", "semigroup.is_minuscule", "spherical.system_ax111",
+    "spherical.system_case_1_6", "spherical.system_case_1_7", "cg.TTriple.entries",
+    # Kept for the color weights and the normality-by-degree check (ROADMAP
+    # items 5 and 6): weight monoids, section modules and the Cartan matrices.
+    "semigroup.weight_semigroup", "semigroup.sections_decomposition",
+    "rootlat.cartan_matrix", "rootlat.RootSystem.cartan",
+    "rootlat.RootSystem.to_fund_weights",
+    # Builds color vectors for the tests' systems.
+    "spherical.SphericalSystem.color_sum",
+}
+
+
+def src_functions(src):
+    """{(file, first line, name): dotted name} of every module-level function
+    and class method in src/.  A decorated function's code starts at its
+    first decorator."""
+    out = {}
+    for fname in sorted(os.listdir(src)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(src, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defs = [(node.name + ".", sub) for sub in node.body]
+            else:
+                defs = [("", node)]
+            for prefix, fn in defs:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    line = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+                    out[(fname, line, fn.name)] = f"{fname[:-3]}.{prefix}{fn.name}"
+    return out
+
+
+def test_every_src_function_is_reached_or_allowlisted():
+    src = os.path.dirname(korbits.__file__)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(src))
+    proc = subprocess.run([sys.executable, "-c", REACH_SCRIPT, src, json.dumps(REACH_ARGV)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(REACH_ARGV)
+    reached = {tuple(key) for key in result["reached"]}
+    functions = src_functions(src)
+    unreached = {name for key, name in functions.items() if key not in reached}
+    assert unreached == UNREACHED_ALLOWLIST

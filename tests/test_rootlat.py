@@ -99,16 +99,6 @@ def test_abelian_radical_matches_highest_root_recomputation():
         assert rl.abelian_radical_roots(t, n) == expected
 
 
-def test_lattice_vector_arithmetic():
-    v = rl.LatticeVector(rl.SIMPLE_ROOTS, (1, 0))
-    w = rl.LatticeVector(rl.SIMPLE_ROOTS, (0, 2))
-    assert (v + w).coords == (1, 2)
-    assert (v - w).coords == (1, -2)
-    assert v.scale(3).coords == (3, 0)
-    with pytest.raises(ValueError):
-        v + rl.LatticeVector(rl.FUND_WEIGHTS, (1, 0))
-
-
 def test_root_system_product_orthogonal_blocks():
     rs = rl.RootSystem((("A", 2), ("C", 2)))
     a = rs.cartan()

@@ -1,7 +1,5 @@
 import dataclasses
-import hashlib
 import itertools
-import json
 import os
 import random
 import subprocess
@@ -58,7 +56,7 @@ def fraction_nsigma(system, vec):
 
 def test_leq_partial_order_every_encoded_system():
     rng = random.Random(17)
-    systems = [AX, S14, sp.system_case_1_5(5), sp.system_ay_a_ay(1, 1, 1),
+    systems = [AX, S14, sp.system_case_1_5(5), sp.system_case_1_7(4, 6, 1, 1),
                sp.system_case_1_6(4, 4, 1, 1), sp.system_case_1_6(4, 3, 1, 1),
                sp.system_case_1_7(3, 4, 0, 1)]
     for system in systems:
@@ -140,6 +138,7 @@ def test_sections_match_brute_force():
 def test_positive_part_height():
     assert sg.positive_part_height((1, -2, 3)) == ((1, 0, 3), 2)
     assert sg.positive_part_height((0, 0, 0)) == ((0, 0, 0), 0)
+    assert sg.positive_part_height((2, -1, 0, 3)) == ((2, 0, 0, 3), 4)
     plus, _ = sg.positive_part_height((-1, 1, 1))
     assert plus == (0, 1, 1) and sum(plus) == 2
 
@@ -174,7 +173,7 @@ def test_gamma_semigroup_degree_zero():
 def test_gamma_semigroup_closure():
     """Every member decomposes over the returned generators."""
     for system, deg in ((S14, 3), (sp.system_case_1_6(4, 4, 1, 1), 4)):
-        gens = [g.as_tuple() for g in sg.gamma_semigroup(system, deg)]
+        gens = [(g.n1, g.n2) + g.E for g in sg.gamma_semigroup(system, deg)]
         d1, d2 = system.designated
         lat = sg.lattice(system)
         members = []
@@ -210,6 +209,29 @@ def test_gamma_sigma_membership_condition_case14():
         gamma = lat.colors_of((a1, a2, a3))
         cond = all(x <= 0 for i, x in enumerate(gamma) if S14.colors[i] not in ("D1", "D2"))
         assert cond == (a1 >= a2 + a3)
+
+
+def test_gamma_sigma_basis_is_closed_form_differences():
+    """Gamma_sigma is generated by gamma = n1 Dp1 + n2 Dp2 - E over the closed
+    forms: its Hilbert basis in a box holding every such gamma is exactly
+    the nonzero ones, each once, in sigma-coordinates, and gamma = 0 only
+    for (1, 0, Dp1) and (0, 1, Dp2).  The box is at least range(4)^k, so
+    every member with coordinates <= 3 decomposes over them."""
+    cases = ([("1.4", {"p": p}) for p in (4, 5, 6)] + [("1.5", {"q": q}) for q in (4, 5)]
+             + two_wing_params(3))
+    assert len(cases) == 45
+    for case, params in cases:
+        system = sg.build_case_system(case, params)
+        lat = sg.lattice(system)
+        d1, d2 = system.designated
+        zero = tuple([0] * lat.k)
+        gammas = [(lat.nsigma_coords(tuple(g.n1 * a + g.n2 * b - e
+                                           for a, b, e in zip(d1, d2, g.E))), (g.n1, g.n2))
+                  for g in sg.closed_form_generators(case, params)]
+        assert sorted(deg for c, deg in gammas if c == zero) == [(0, 1), (1, 0)], case
+        nonzero = sorted(c for c, _ in gammas if c != zero)
+        top = max((max(c) for c in nonzero), default=0)
+        assert sg.gamma_sigma_semigroup(system, max(top, 3)) == nonzero, (case, params)
 
 
 def test_closed_form_16_examples():
@@ -250,92 +272,6 @@ def test_hilbert_basis_stable_beyond_proposition_degree():
         assert enum == closed
 
 
-def test_witness_generator_decomposes_as_itself():
-    params = dict(p=4, q=4, r=1, s=1)
-    tw = sp.two_wing_structure("1.6", **params)
-    gamma = sg._gamma_ij_vec(tw, 1, 1)
-    coeffs, _ = sg.witness_decomposition("1.6", params, gamma)
-    assert coeffs == {("gij", 1, 1): 1}
-
-
-def test_witness_sum_and_membership_error():
-    params = dict(p=5, q=5, r=1, s=1)
-    tw = sp.two_wing_structure("1.6", **params)
-    gamma = tuple(a + b for a, b in zip(sg._gamma_ij_vec(tw, 1, 1), sg._gamma_k_vec(tw, 1, 2)))
-    coeffs, _ = sg.witness_decomposition("1.6", params, gamma)
-    assert sum(coeffs.values()) >= 2
-    bad = tuple(1 if nm == "s1_1" else 0 for nm in tw.system.sigma_names)
-    with pytest.raises(ValueError):
-        sg.witness_decomposition("1.6", params, bad)
-
-
-def test_witness_boundary_internals():
-    # boundary regime with both wings: the c1/c2/b values satisfy the
-    # constraint relation c1 - c2 = a^2_{2r2} - a^1_{2r1}.
-    params = dict(p=6, q=4, r=2, s=1)
-    tw = sp.two_wing_structure("1.6", **params)
-    names = tw.system.sigma_names
-    rng = random.Random(9)
-    lat = sg.lattice(tw.system)
-    gens = sg.closed_form_generators("1.6", params)
-    d1, d2 = tw.system.designated
-    gvecs = [lat.nsigma_coords(tuple(g.n1 * a + g.n2 * b - e
-                                     for a, b, e in zip(d1, d2, g.E))) for g in gens]
-    seen_branch = False
-    for _ in range(60):
-        c = [0] * len(names)
-        for gv in gvecs:
-            m = rng.randint(0, 2)
-            for t in range(len(c)):
-                c[t] += m * gv[t]
-        coeffs, internals = sg.witness_decomposition("1.6", params, tuple(c))
-        if not internals:
-            continue
-        a1r = c[names.index(f"s1_{2 * tw.r1}")]
-        a2r = c[names.index(f"s2_{2 * tw.r2}")]
-        assert internals["c1"] - internals["c2"] == a2r - a1r
-        assert internals["c1"] <= 0 and internals["c2"] <= 0 and internals["b"] >= 0
-        if a1r != a2r:
-            seen_branch = True
-    assert seen_branch
-
-
-ONE_WING_WITNESS_SHA256 = "f8471a6678150fbf6a55bca736229b5b364ea2ca67704dd692eb1709272a7cec"
-
-
-def test_witness_one_wing_boundary_members():
-    # Boundary regime with one empty wing: every member of the semigroup
-    # with sigma-coordinates <= 3 decomposes, and the decompositions are
-    # pinned.
-    digest = hashlib.sha256()
-    count = 0
-    for case in ("1.6", "1.7"):
-        for r, s in ((1, 0), (0, 1), (2, 0), (0, 2)):
-            p, q = (r + s + 2, r + s + 1) if case == "1.6" else (r + s + 1, r + s + 2)
-            params = dict(p=p, q=q, r=r, s=s)
-            tw = sp.two_wing_structure(case, **params)
-            assert tw.boundary
-            lat = sg.lattice(tw.system)
-            d1, d2 = tw.system.designated
-            allowed = {i for i, x in enumerate(d1) if x} | {i for i, x in enumerate(d2) if x}
-            for c in itertools.product(range(4), repeat=lat.k):
-                if any(x > 0 for i, x in enumerate(lat.colors_of(c)) if i not in allowed):
-                    continue
-                coeffs, _ = sg.witness_decomposition(case, params, c)
-                digest.update(json.dumps([case, params, c, sorted(coeffs.items())]).encode()
-                              + b"\n")
-                count += 1
-    assert count == 136
-    assert digest.hexdigest() == ONE_WING_WITNESS_SHA256
-
-
-def test_witness_case14():
-    coeffs, _ = sg.witness_decomposition("1.4", {"p": 5}, (3, 1, 1))
-    assert coeffs == {("g12",): 1, ("g13",): 1, ("g1",): 1}
-    with pytest.raises(ValueError):
-        sg.witness_decomposition("1.4", {"p": 5}, (1, 1, 1))
-
-
 def test_normality_encoded_systems():
     assert sg.normality_check(AX)["normal"]
     assert sg.normality_check(S14)["normal"]
@@ -368,7 +304,7 @@ def test_weight_semigroup_ax111():
 
 def test_weight_semigroup_needs_designated():
     with pytest.raises(ValueError):
-        sg.gamma_semigroup(sp.system_ay_a_ay(1, 1, 1), 2)
+        sg.gamma_semigroup(dataclasses.replace(AX, designated=None), 2)
 
 
 def direct_box_bounds(system, e_vec, solved=None):

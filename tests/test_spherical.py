@@ -207,7 +207,7 @@ def test_two_wing_generator_identities():
 
 def test_rows_independent_for_all_encoded_systems():
     systems = [sp.system_ax111(), sp.system_case_1_4(4), sp.system_case_1_4(6),
-               sp.system_case_1_5(5), sp.system_ay_a_ay(2, 2, 1),
+               sp.system_case_1_5(5), sp.system_case_1_7(3, 4, 1, 1),
                sp.system_case_1_6(6, 5, 2, 1), sp.system_case_1_7(4, 6, 1, 1),
                sp.system_case_1_6(4, 3, 1, 1)]
     for s in systems:
@@ -216,50 +216,8 @@ def test_rows_independent_for_all_encoded_systems():
 
 
 def test_supports_inside_ambient():
-    for s in (sp.system_case_1_6(6, 6, 1, 2), sp.system_ay_a_ay(1, 3, 2)):
+    for s in (sp.system_case_1_6(6, 6, 1, 2), sp.system_case_1_7(4, 6, 1, 1)):
         n = s.ambient.total_rank
         for v in s.sigma:
             assert len(v.coords) == n and all(c >= 0 for c in v.coords)
         assert all(0 <= j < n for j in s.s_p)
-
-
-def test_ay_a_ay_rows():
-    r, t, s = 2, 2, 2
-    sys_ = sp.system_ay_a_ay(r, t, s)
-    assert len(sys_.colors) == 2 * r + 2 * s + 4
-    named = dict(zip(sys_.sigma_names, sys_.sigma_in_colors))
-    a1 = named["a1"]
-    assert a1[0] == 1 and a1[1] == 1 and a1[2] == -1 and all(x == 0 for x in a1[3:])
-    last = named[f"a''{s}"]
-    n = len(sys_.colors)
-    expected = [0] * n
-    expected[2 * r + 2 * s + 1] = -1
-    expected[2 * r + 2 * s + 2] = 1
-    expected[2 * r + 2 * s + 3] = 1
-    assert list(last) == expected
-    assert sys_.s_p == tuple(range(r + (r + 2) - 1, r + (r + t) - 1))
-
-
-def test_ay_quotient():
-    r, t, s = 2, 2, 2
-    sys_ = sp.system_ay_a_ay(r, t, s)
-    delta1 = [f"D{2 * i}" for i in range(1, r + 1)]
-    delta2 = [f"D{2 * r + 2 * i + 3}" for i in range(1, s + 1)]
-    q = sp.quotient_by_colors(sys_, delta1 + delta2)
-    assert q.sigma_names == ("a2+a'1", "tau", "a'6+a''1")
-    assert len(q.colors) == len(sys_.colors) - r - s
-    # every quotient root has color support off the quotiented set
-    assert linalg.rank([list(x) for x in q.sigma_in_colors]) == len(q.sigma_in_colors)
-
-
-def test_quotient_identity_and_errors():
-    sys_ = sp.system_ay_a_ay(1, 1, 1)
-    assert sp.quotient_by_colors(sys_, []) is sys_
-    ax = sp.system_ax111()
-    for name in ax.colors:
-        with pytest.raises(ValueError):
-            sp.quotient_by_colors(ax, [name])
-    with pytest.raises(ValueError):
-        sp.quotient_by_colors(sys_, ["D1"])
-    with pytest.raises(ValueError):
-        sp.quotient_by_colors(sys_, ["nope"])
