@@ -196,13 +196,13 @@ def test_normality_command(tmp_path):
      "e97e35e09793243ffd9f67f822832433c7c879b5099968ee92026623a8d853b5"),
     (["normality", "1.4", "--p", "5", "--bound", "3"],
      "f99a0feab1542b7a09643b0505199c9a1c55810c066764b6c99f262a63d51e6f"),
-    (["semigroup", "1.4", "--p", "5"],
-     "1e4473711480132dd6645ad8cac88b21f24b4f52ff9a5e5c4d1f020b36fdfa85"),
     # The mirror cases, built from the 1.4 and 1.6 formulas with p and q exchanged.
     (["semigroup", "1.5", "--q", "5"],
      "430cd2cad5781e24af46bbe032e9b6f81f22347b7519bf87ad975fad968e2415"),
     (["semigroup", "1.7", "--p", "5", "--q", "4", "--r", "1", "--s", "1"],
      "098debb62ebe254dff5b386b95e149ac89b075a1a502fb8f91d9074bf01f417a"),
+    (["semigroup", "1.4", "--p", "5"],
+     "1e4473711480132dd6645ad8cac88b21f24b4f52ff9a5e5c4d1f020b36fdfa85"),
 ])
 def test_normality_golden_output(tmp_path, argv, digest):
     code, text = run_cli(argv, tmp_path)
