@@ -168,14 +168,8 @@ def _cmd_normality(args):
 
 
 def _cmd_cg_verify(args):
-    top = args.max_entry if args.max_entry is not None else args.max_entry_flag
-    if args.max_entry_flag not in (None, top):
-        raise SystemExit(f"error: cg-verify got max entry {top} and --max-entry "
-                         f"{args.max_entry_flag}; give one bound")
-    if top is None:
-        raise SystemExit("error: cg-verify needs a maximum entry (positional or --max-entry)")
-    data = cg.section_sweep(top)
-    _emit(_report("cg-verify", {"max_entry": top}, data), args.out)
+    data = cg.section_sweep(args.max_entry)
+    _emit(_report("cg-verify", {"max_entry": args.max_entry}, data), args.out)
     return 0 if data["ok"] else 1
 
 
@@ -259,8 +253,7 @@ def build_parser():
     p.set_defaults(func=_cmd_normality)
 
     p = sub.add_parser("cg-verify", help="section-multiplication sweep for SL(2)^3")
-    p.add_argument("max_entry", type=_int_at_least(0), nargs="?", default=None)
-    p.add_argument("--max-entry", type=_int_at_least(0), dest="max_entry_flag", default=None)
+    p.add_argument("max_entry", type=_int_at_least(0))
     common(p)
     p.set_defaults(func=_cmd_cg_verify)
 

@@ -70,16 +70,12 @@ def _make_pair(t, n, p):
         q = n + 1 - p
         comps = tuple(c for c in (("A", p - 1), ("A", q - 1)) if c[1] >= 1)
         m = (n + 1) // gcd(p, n + 1)
+        # p1 = V(omega_1 + omega'_{q-1}) as K^ss-module (either factor may vanish).
         entries = []
         if p >= 2:
             entries.append([(1, 1)])
         if q >= 2:
             entries.append([(q - 1, 1)])
-        # p1 = V(omega_1 + omega'_{q-1}) as K^ss-module (either factor may vanish).
-        if p == 1:
-            entries = [[(q - 1, 1)]] if q >= 2 else []
-        elif q == 1:
-            entries = [[(1, 1)]]
         w1 = _a_weight(comps, entries)
         return SymmetricPairSpec(("A", n), p, SLPQ, comps, m, w1)
     if t == "B":

@@ -5,8 +5,8 @@ floating point.  One fraction-free elimination kernel, `_eliminate`, works
 on sparse rows {col: value} over Q and over GF(p), with one pivot step,
 `_pivot_step`.  `rank` runs it forward only, on dense or sparse rows;
 `echelon` runs it with back-substitution and returns the dense reduced
-form that `solve` and the semigroup layer read.  `simplex_max` is a small
-rational simplex for the LP bounds of the semigroup layer.
+form that the semigroup lattice reads.  `simplex_max` is a small rational
+simplex for the LP bounds of the semigroup layer.
 """
 
 from __future__ import annotations
@@ -147,29 +147,6 @@ def rank(rows, p=None):
     may be Fractions.  The elimination runs forward only.
     """
     return len(_eliminate(rows, p, reduced=False)[1])
-
-
-def solve(a_columns, b):
-    """Solve sum_j x_j * a_columns[j] = b exactly.
-
-    Returns the Fraction solution vector, or None if the system is
-    inconsistent.  When the columns are linearly independent the solution is
-    unique; otherwise free variables are set to zero.
-    """
-    ncols = len(a_columns)
-    nrows = len(b)
-    aug = [[a_columns[j][i] for j in range(ncols)] + [b[i]] for i in range(nrows)]
-    red, pivots, d = echelon(aug)
-    x = [Fraction(0)] * ncols
-    for row, c in zip(red, pivots):
-        if c == ncols:
-            return None
-        x[c] = Fraction(row[ncols], d)
-    # Consistency check covers the dependent-column case.
-    for i in range(nrows):
-        if sum(x[j] * Fraction(a_columns[j][i]) for j in range(ncols)) != Fraction(b[i]):
-            return None
-    return x
 
 
 def simplex_max(a, b, c):

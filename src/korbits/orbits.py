@@ -397,67 +397,13 @@ def realization(spec):
 # ---------------------------------------------------------------------------
 # Case catalog
 
-def _list_slpq(pair, cap):
-    p, q = pair.pq
-    top = min(p, q)
-    recs = []
-    rng = range(1, min(top, cap) + 1) if cap else range(1, top + 1)
-    for r in rng:
-        recs.append(OrbitRecord(pair, "1.1", (("r", r),)))
-        recs.append(OrbitRecord(pair, "1.2", (("r", r),)))
-    for r in rng:
-        for s in rng:
-            if r + s <= top:
-                recs.append(OrbitRecord(pair, "1.3", (("r", r), ("s", s))))
-    if q == 2 and p >= 4:
-        recs.append(OrbitRecord(pair, "1.4", ()))
-    if p == 2 and q >= 4:
-        recs.append(OrbitRecord(pair, "1.5", ()))
-    caprng = range(0, cap + 1) if cap else range(0, max(p, q) + 1)
-    for r in caprng:
-        for s in caprng:
-            if r + s + 2 <= p and r + s + 1 <= q:
-                recs.append(OrbitRecord(pair, "1.6", (("r", r), ("s", s))))
-            if r + s + 1 <= p and r + s + 2 <= q:
-                recs.append(OrbitRecord(pair, "1.7", (("r", r), ("s", s))))
-    return recs
-
-
-def _list_so_vector(pair, cap):
-    base = "2" if pair.family_id == SO_ODD else "4"
-    recs = [OrbitRecord(pair, f"{base}.1", (), "I"),
-            OrbitRecord(pair, f"{base}.1", (), "II"),
-            OrbitRecord(pair, f"{base}.2", ()),
-            OrbitRecord(pair, f"{base}.3", (), "I"),
-            OrbitRecord(pair, f"{base}.3", (), "II"),
-            OrbitRecord(pair, f"{base}.4", ())]
-    return recs
-
-
-def _list_gl_block(pair, cap):
-    n = pair.rank
-    recs = []
-    if pair.family_id == SP:
-        rng = range(1, min(n, cap) + 1) if cap else range(1, n + 1)
-        for r in rng:
-            recs.append(OrbitRecord(pair, "3.1", (("r", r),)))
-            recs.append(OrbitRecord(pair, "3.2", (("r", r),)))
-        for r in rng:
-            for s in rng:
-                if r + s <= n:
-                    recs.append(OrbitRecord(pair, "3.3", (("r", r), ("s", s))))
-    else:
-        top = n // 2
-        rng = range(1, min(top, cap) + 1) if cap else range(1, top + 1)
-        for r in rng:
-            recs.append(OrbitRecord(pair, "5.1", (("r", r),)))
-            recs.append(OrbitRecord(pair, "5.2", (("r", r),)))
-        for r in rng:
-            for s in rng:
-                if 2 * r + 2 * s <= n:
-                    recs.append(OrbitRecord(pair, "5.3", (("r", r), ("s", s))))
-        recs.append(OrbitRecord(pair, "5.4", ()))
-    return recs
+def _list_two_sided(pair, family, top, cap):
+    """Cases x.1 (2^r), x.2 (-2^r) and x.3 (2^r, -2^s) of family x = 1, 3, 5:
+    r, s >= 1 up to the cap, with r + s <= top."""
+    rng = range(1, min(top, cap or top) + 1)
+    return ([OrbitRecord(pair, f"{family}.{sub}", (("r", r),)) for r in rng for sub in "12"]
+            + [OrbitRecord(pair, f"{family}.3", (("r", r), ("s", s)))
+               for r in rng for s in rng if r + s <= top])
 
 
 def list_orbits(pair, max_params=None):
@@ -465,12 +411,30 @@ def list_orbits(pair, max_params=None):
     parameter at most max_params when a cap is given."""
     if max_params is not None and max_params < 1:
         raise ValueError(f"--max-params must be at least 1, got {max_params}")
-    cap = max_params or 0
-    if pair.family_id == SLPQ:
-        return _list_slpq(pair, cap)
-    if pair.family_id in (SO_ODD, SO_EVEN_VECTOR):
-        return _list_so_vector(pair, cap)
-    return _list_gl_block(pair, cap)
+    family = pair.family_id
+    if family in (SO_ODD, SO_EVEN_VECTOR):
+        base = "2" if family == SO_ODD else "4"
+        return [OrbitRecord(pair, f"{base}.{sub}", (), variant)
+                for sub, variant in (("1", "I"), ("1", "II"), ("2", ""),
+                                     ("3", "I"), ("3", "II"), ("4", ""))]
+    if family == SP:
+        return _list_two_sided(pair, "3", pair.rank, max_params)
+    if family == SO_EVEN_GL:   # 2r + 2s <= n, that is r + s <= n // 2
+        return _list_two_sided(pair, "5", pair.rank // 2, max_params) + [OrbitRecord(pair, "5.4")]
+    p, q = pair.pq
+    recs = _list_two_sided(pair, "1", min(p, q), max_params)
+    if q == 2 and p >= 4:
+        recs.append(OrbitRecord(pair, "1.4"))
+    if p == 2 and q >= 4:
+        recs.append(OrbitRecord(pair, "1.5"))
+    sides = range((max_params or max(p, q)) + 1)
+    for r in sides:
+        for s in sides:
+            if r + s + 2 <= p and r + s + 1 <= q:
+                recs.append(OrbitRecord(pair, "1.6", (("r", r), ("s", s))))
+            if r + s + 1 <= p and r + s + 2 <= q:
+                recs.append(OrbitRecord(pair, "1.7", (("r", r), ("s", s))))
+    return recs
 
 
 # Cases with max{n : (ad e)^n p != 0} equal to 3; all others give 2.  The

@@ -1,8 +1,8 @@
 """Root-system and weight-lattice arithmetic for classical types A-D.
 
-All public data lives in explicit lattice bases (simple roots, fundamental
-weights, colors, spherical roots); euclidean epsilon-coordinates appear only
-inside the cross-check oracles at the bottom of the module.
+All data lives in explicit lattice bases (simple roots, fundamental
+weights, colors, spherical roots); the euclidean epsilon-coordinates that
+cross-check them are test oracles, outside the package.
 
 Cartan matrices follow Bourbaki numbering with entries
 a_ij = <alpha_i, alpha_j^vee>, so row i expresses alpha_i in the basis of
@@ -12,10 +12,6 @@ fundamental weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-
-from . import linalg
 
 CLASSICAL_TYPES = ("A", "B", "C", "D")
 
@@ -146,89 +142,3 @@ class RootSystem:
             out.extend(chunk)
             off += r
         return LatticeVector(FUND_WEIGHTS, tuple(out))
-
-
-# ---------------------------------------------------------------------------
-# Euclidean realizations: internal oracles only.
-
-def simple_roots_euclidean(type_, rank):
-    _validate(type_, rank)
-    dim = rank + 1 if type_ == "A" else rank
-
-    def e(i):
-        v = [Fraction(0)] * dim
-        v[i] = Fraction(1)
-        return v
-
-    def minus(u, w):
-        return [a - b for a, b in zip(u, w)]
-
-    roots = [minus(e(i), e(i + 1)) for i in range(rank - 1)]
-    if type_ == "A":
-        roots.append(minus(e(rank - 1), e(rank)))
-    elif type_ == "B":
-        roots.append(e(rank - 1))
-    elif type_ == "C":
-        roots.append([2 * x for x in e(rank - 1)])
-    else:
-        roots.append([a + b for a, b in zip(e(rank - 2), e(rank - 1))])
-    return roots
-
-
-def _dot(u, w):
-    return sum(a * b for a, b in zip(u, w))
-
-
-def all_roots_euclidean(type_, rank):
-    """Close the simple roots under simple reflections."""
-    simples = simple_roots_euclidean(type_, rank)
-    norms = [_dot(a, a) for a in simples]
-    roots = {tuple(a) for a in simples}
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for beta in frontier:
-            for a, n2 in zip(simples, norms):
-                c = 2 * _dot(beta, a) / n2
-                img = tuple(x - c * y for x, y in zip(beta, a))
-                if img not in roots:
-                    roots.add(img)
-                    new.append(img)
-        frontier = new
-    return [list(r) for r in roots]
-
-
-def highest_root_euclidean(type_, rank):
-    """Oracle: recompute theta by maximizing height over all roots."""
-    simples = simple_roots_euclidean(type_, rank)
-    best = None
-    for beta in all_roots_euclidean(type_, rank):
-        coeffs = linalg.solve(simples, beta)
-        if coeffs is None:
-            continue
-        h = sum(coeffs)
-        if best is None or h > best[0]:
-            best = (h, coeffs)
-    return [int(c) for c in best[1]]
-
-
-def pairing_with_coroot(type_, rank, v, j):
-    """Oracle: <v, alpha_j^vee> for v in the SimpleRoots basis (1-based j)."""
-    simples = simple_roots_euclidean(type_, rank)
-    vec = [sum(Fraction(v.coords[i]) * simples[i][t] for i in range(rank))
-           for t in range(len(simples[0]))]
-    a = simples[j - 1]
-    return 2 * _dot(vec, a) / _dot(a, a)
-
-
-def cocharacter_order(type_, rank, p):
-    """Minimal m with m * omega_p^vee in the coroot lattice (1-based p)."""
-    simples = simple_roots_euclidean(type_, rank)
-    coroots = [[2 * x / _dot(a, a) for x in a] for a in simples]
-    # omega_p^vee = sum_i c_i alpha_i^vee solves (omega, alpha_j) = delta_pj;
-    # column i of the system is (alpha_i^vee, alpha_j)_j.
-    columns = [[_dot(coroots[i], simples[j]) for j in range(rank)] for i in range(rank)]
-    rhs = [Fraction(1) if j == p - 1 else Fraction(0) for j in range(rank)]
-    coeffs = linalg.solve(columns, rhs)
-    assert coeffs is not None
-    return lcm(*[c.denominator for c in coeffs])

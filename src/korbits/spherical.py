@@ -56,12 +56,6 @@ class SphericalSystem:
         v[self.color_index(name)] = 1
         return tuple(v)
 
-    def color_sum(self, *names):
-        v = [0] * len(self.colors)
-        for name in names:
-            v[self.color_index(name)] += 1
-        return tuple(v)
-
     def with_designated(self, d1, d2):
         return replace(self, designated=(d1, d2))
 

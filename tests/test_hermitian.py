@@ -1,7 +1,7 @@
 import pytest
 
 from korbits import hermitian as hm
-from korbits import rootlat as rl
+from oracles import cocharacter_order
 
 
 def test_enumerate_a5():
@@ -49,7 +49,7 @@ def test_center_order_matches_cocharacter_lattice():
                 "C:2", "C:5", "D:5:p=1", "D:5:p=5", "D:6:p=6", "D:7:p=6"):
         spec = hm.parse_pair_key(key)
         t, n = spec.g_type
-        assert spec.m == rl.cocharacter_order(t, n, spec.p_index), key
+        assert spec.m == cocharacter_order(t, n, spec.p_index), key
 
 
 def test_p_module_weights_dual_pair():

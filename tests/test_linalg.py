@@ -6,27 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from korbits import linalg
+from oracles import reference_rref
 
 PRIME = (1 << 61) - 1
-
-
-def reference_rref(rows):
-    """Textbook Gauss-Jordan over Fraction: (nonzero rref rows, pivots)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return m[:len(pivots)], pivots
 
 
 def reference_rank_mod_p(rows, p):
@@ -65,16 +47,6 @@ def test_rank_small():
     assert linalg.rank([[1, 2], [2, 4]]) == 1
     assert linalg.rank([[1, 0], [0, 1], [1, 1]]) == 2
     assert linalg.rank([[0, 0], [0, 0]]) == 0
-
-
-def test_solve_unique():
-    cols = [[1, 0], [1, 1]]
-    x = linalg.solve(cols, [3, 2])
-    assert x == [Fraction(1), Fraction(2)]
-
-
-def test_solve_inconsistent():
-    assert linalg.solve([[1, 1]], [1, 2]) is None
 
 
 def test_commutator():
@@ -120,28 +92,6 @@ def test_rank_mod_p_at_most_rank_over_q(rows):
         assert d == 1 and all(row[c] == 1 for row, c in zip(red, pivots))
         assert linalg.rank(rows, p) == len(pivots) <= rank_q
         assert linalg.rank(sparse(rows), p) == len(pivots) == reference_rank_mod_p(rows, p)
-
-
-@settings(max_examples=200, deadline=None)
-@given(matrices(st.fractions(-3, 3, max_denominator=4)), st.data())
-def test_solve_matches_fraction_reference(columns, data):
-    nrows = len(columns[0])
-    if data.draw(st.booleans()):
-        b = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4),
-                               min_size=nrows, max_size=nrows))
-    else:
-        x = data.draw(st.lists(st.integers(-2, 2), min_size=len(columns),
-                               max_size=len(columns)))
-        b = [sum(xj * col[i] for xj, col in zip(x, columns)) for i in range(nrows)]
-    aug = [[col[i] for col in columns] + [b[i]] for i in range(nrows)]
-    ref, pivots = reference_rref(aug)
-    if len(columns) in pivots:
-        expected = None
-    else:
-        expected = [Fraction(0)] * len(columns)
-        for row, c in zip(ref, pivots):
-            expected[c] = row[-1]
-    assert linalg.solve(columns, b) == expected
 
 
 def sparse_rank_deficient(rng, nrows=40, ncols=80, rank=25, density=0.1):

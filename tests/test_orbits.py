@@ -546,3 +546,22 @@ def test_catalog_digest():
                     count += 1
     assert count == 2151
     assert digest.hexdigest() == CATALOG_SHA256
+
+
+CAPPED_LISTING_SHA256 = "609cf35331bae5fbb116861ebfe3517fcb4439bdaaad8ddcfd80decd9ffaf0d3"
+
+
+def test_capped_listing_digest():
+    # The id of every record of every A-D pair of rank <= 12 under each cap,
+    # one "cap<TAB>id" line each, in list_orbits order.
+    digest = hashlib.sha256()
+    count = 0
+    for g_type in "ABCD":
+        for n in range(_RANK_BOUNDS[g_type], 13):
+            for pair in enumerate_pairs(g_type, n):
+                for cap in (None, 1, 2, 3, 4):
+                    for r in ob.list_orbits(pair, cap):
+                        digest.update(f"{cap}\t{r.orbit_id()}\n".encode())
+                        count += 1
+    assert count == 7812
+    assert digest.hexdigest() == CAPPED_LISTING_SHA256

@@ -4,6 +4,7 @@ import pytest
 
 from korbits import linalg
 from korbits import spherical as sp
+from oracles import color_sum
 
 
 def test_ax111_data():
@@ -85,12 +86,12 @@ def test_degenerate_wing_designated():
     tw = sp.two_wing_structure("1.6", 5, 5, 1, 0)
     s = tw.system
     d2 = s.designated[1]
-    assert d2 == s.color_sum("D2_2", "D2_3")
+    assert d2 == color_sum(s, "D2_2", "D2_3")
     assert s.designated[0] == s.unit_color("D1_2")
     # boundary s = 0: the second designated color crosses into wing 1
     twb = sp.two_wing_structure("1.6", 5, 2, 1, 0)
     sb = twb.system
-    assert sb.designated[1] == sb.color_sum("D2_2", "D1_3")
+    assert sb.designated[1] == color_sum(sb, "D2_2", "D1_3")
     assert twb.col(2, 3) == sb.color_index("D1_3")
 
 
