@@ -134,25 +134,14 @@ def _check_members(*triples):
             raise ValueError(f"{TTriple(*t)} is not in the tensor semigroup")
 
 
-def product_contains(k, m, n):
-    """Whether V(k) occurs in the product V(m) . V(n) in the invariant ring.
-
-    True iff the composition pi(m'',n''->k'') o (pi (x) pi) o (iota (x) iota)
-    is nonzero.  The composite is diagonal-equivariant, hence a scalar c
-    times the projection pi(k, k' -> k''), whose rows[0][0] > 0 sits at
-    x_0 (x) x_h12, h12 = (k + k' - k'')/2.  So the composite's top-row entry
-    there is zero exactly when c = 0, and that one entry decides.
+def _composite_entry(k, m, n):
+    """The top-row entry of the composite of `product_contains`, an exact
+    integer, uncached; 0 when a component triangle (m_i, n_i, k_i) fails.
+    Exchanging m and n changes it by a sign only.  k, m and n must lie in T.
     """
-    # Only checked keys enter the cache, so a hit needs no validity check.
-    key = (tuple(k), tuple(m), tuple(n))
-    found = _PRODUCT_CACHE.get(key)
-    if found is not None:
-        return found
-    _check_members(*key)
-    (kv, k1, k2), (m, m1, m2), (n, n1, n2) = key
+    (kv, k1, k2), (m, m1, m2), (n, n1, n2) = k, m, n
     if not all(map(in_tensor_semigroup, ((m, n, kv), (m1, n1, k1), (m2, n2, k2)))):
-        _PRODUCT_CACHE[key] = False
-        return False
+        return 0
     iota1 = cg_injection(m, n, kv)[0]
     h12 = (kv + k1 - k2) // 2
     iota2 = cg_injection(m1, n1, k1)[h12]
@@ -181,8 +170,30 @@ def product_contains(k, m, n):
                     w2 = rows2[be][j]
                     if w2:
                         total += ci * cj * w1 * w2 * top[al]
-    found = total != 0
-    _PRODUCT_CACHE[key] = found
+    return total
+
+
+def product_contains(k, m, n):
+    """Whether V(k) occurs in the product V(m) . V(n) in the invariant ring.
+
+    True iff the composition pi(m'',n''->k'') o (pi (x) pi) o (iota (x) iota)
+    is nonzero.  The composite is diagonal-equivariant, hence a scalar c
+    times the projection pi(k, k' -> k''), whose rows[0][0] > 0 sits at
+    x_0 (x) x_h12, h12 = (k + k' - k'')/2.  So the composite's top-row entry
+    there is zero exactly when c = 0, and that one entry decides.
+
+    c is a 9j recoupling coefficient up to a nonzero factor, and exchanging
+    m and n changes it by a sign only (Edmonds 1957, ch. 6), so (k, m, n)
+    and (k, n, m) share one cache entry, keyed with the smaller of m and n
+    first.
+    """
+    k, m, n = tuple(k), tuple(m), tuple(n)
+    key = (k, m, n) if m <= n else (k, n, m)
+    # Only checked keys enter the cache, so a hit needs no validity check.
+    found = _PRODUCT_CACHE.get(key)
+    if found is None:
+        _check_members(k, m, n)
+        found = _PRODUCT_CACHE[key] = _composite_entry(*key) != 0
     return found
 
 
@@ -209,22 +220,27 @@ def gamma_module(m):
 def verify_gamma_product(m, n):
     """Check Gamma(m) . Gamma(n) = Gamma(m + n) by exhaustive pair search.
 
-    V(k) is the top (Cartan) component of V(mt) (x) V(k - mt), and such a
-    product usually contains it, so each k first tries those splits with mt
-    in Gamma(m) and k - mt in Gamma(n), then every pair of Gamma(m) x
-    Gamma(n) in lexicographic order.  Either way the verdict is exact.
+    V(mt + nt) is the top (Cartan) component of V(mt) (x) V(nt), and such a
+    product usually contains it.  So one walk over Gamma(m) x Gamma(n) first
+    marks each Cartan sum mt + nt whose product contains it.  Each k left
+    unmarked then tries, in lexicographic order, only the pairs whose three
+    component triangles (mt_i, nt_i, k_i) hold: no other pair can contain
+    V(k).  Either way the verdict is exact; `missing` is in Gamma(m + n)
+    order.
     """
     gm = gamma_module(m)
     gn = gamma_module(n)
-    in_gn = set(gn)
+    covered = set()
+    for mt in gm:
+        for nt in gn:
+            k = mt + nt
+            if k not in covered and product_contains(k, mt, nt):
+                covered.add(k)
     (a0, b0, c0), (a1, b1, c1) = m, n
-    missing = []
-    for k in gamma_module((a0 + a1, b0 + b1, c0 + c1)):
-        a, b, c = k
-        splits = (((x, y, z), (a - x, b - y, c - z)) for x, y, z in gm)
-        if not (any(nt in in_gn and product_contains(k, mt, nt) for mt, nt in splits)
-                or any(product_contains(k, mt, nt) for mt in gm for nt in gn)):
-            missing.append(k)
+    missing = [k for k in gamma_module((a0 + a1, b0 + b1, c0 + c1))
+               if k not in covered
+               and not any(product_contains(k, mt, nt) for mt in gm for nt in gn
+                           if all(map(in_tensor_semigroup, zip(mt, nt, k))))]
     return {"ok": not missing, "missing": missing}
 
 

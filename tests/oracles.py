@@ -1,10 +1,12 @@
 """Reference oracles for the tests: textbook Gauss-Jordan over Fraction, an
-exact solve on it, the euclidean realizations of the classical root systems
-and color vectors of spherical systems.  None of them runs `linalg.echelon`
-or any other kernel that they check."""
+exact solve on it, the euclidean realizations of the classical root systems,
+color vectors of spherical systems and a Racah 6j/9j zero test.  None of
+them runs `linalg.echelon`, `korbits.cg` or any other kernel that they
+check."""
 
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import factorial, lcm
 
 
 def reference_rref(rows):
@@ -131,3 +133,64 @@ def color_sum(system, *names):
     for name in names:
         v[system.color_index(name)] += 1
     return tuple(v)
+
+
+# ---------------------------------------------------------------------------
+# Wigner 6j and 9j symbols (Racah 1942; Edmonds 1957, ch. 6), every angular
+# momentum j given doubled, as the integer 2j = the SL(2) highest weight.
+
+def triad(a, b, c):
+    """Whether spins a/2, b/2, c/2 couple: even sum and the triangle rule."""
+    return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
+
+
+@cache
+def delta_squared(a, b, c):
+    """Racah's triangle coefficient Delta(a/2, b/2, c/2), squared."""
+    s = (a + b + c) // 2
+    return Fraction(factorial(s - c) * factorial(s - b) * factorial(s - a),
+                    factorial(s + 1))
+
+
+@cache
+def racah_sum(j1, j2, j3, j4, j5, j6):
+    """The 6j symbol {j1 j2 j3; j4 j5 j6} (halved) divided by its four
+    triangle coefficients Delta(j1 j2 j3) Delta(j1 j5 j6) Delta(j4 j2 j6)
+    Delta(j4 j5 j3); 0 when one of those triads fails."""
+    triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
+    if not all(triad(*t) for t in triads):
+        return Fraction(0)
+    alphas = [sum(t) // 2 for t in triads]
+    betas = [(j1 + j2 + j4 + j5) // 2, (j2 + j3 + j5 + j6) // 2, (j3 + j1 + j6 + j4) // 2]
+    total = Fraction(0)
+    for t in range(max(alphas), min(betas) + 1):
+        den = 1
+        for a in alphas:
+            den *= factorial(t - a)
+        for b in betas:
+            den *= factorial(b - t)
+        total += Fraction((-1) ** t * factorial(t + 1), den)
+    return total
+
+
+def nine_j_nonzero(j1, j2, j3, j4, j5, j6, j7, j8, j9):
+    """Whether the 9j symbol {j1 j2 j3; j4 j5 j6; j7 j8 j9} (halved) is
+    nonzero.  It is the sum over x of (-1)^2x (2x+1) {j1 j4 j7; j8 j9 x}
+    {j2 j5 j8; j4 x j6} {j3 j6 j9; x j1 j2}.  The triangle coefficients of
+    the six row and column triads are common positive factors, and those
+    of the three triads holding x appear squared, so the zero test is exact
+    over Q."""
+    rows_and_columns = ((j1, j2, j3), (j4, j5, j6), (j7, j8, j9),
+                        (j1, j4, j7), (j2, j5, j8), (j3, j6, j9))
+    if not all(triad(*t) for t in rows_and_columns):
+        return False
+    low = max(abs(j1 - j9), abs(j4 - j8), abs(j2 - j6))
+    high = min(j1 + j9, j4 + j8, j2 + j6)
+    total = Fraction(0)
+    for x in range(low + (low + j1 + j9) % 2, high + 1, 2):
+        sums = (racah_sum(j1, j4, j7, j8, j9, x) * racah_sum(j2, j5, j8, j4, x, j6)
+                * racah_sum(j3, j6, j9, x, j1, j2))
+        if sums:
+            total += ((-1) ** x * (x + 1) * sums * delta_squared(j1, j9, x)
+                      * delta_squared(j8, j4, x) * delta_squared(j2, x, j6))
+    return total != 0

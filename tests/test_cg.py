@@ -3,8 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from korbits import cg, linalg
+from oracles import nine_j_nonzero, triad
 
 
 def T(a, b, c):
@@ -290,11 +293,17 @@ def test_product_contains_needs_componentwise_t():
 
 
 def test_product_contains_symmetry_exhaustive():
-    triples = all_triples(3)
+    # product_contains keeps one cache entry for (k, m, n) and (k, n, m), so
+    # the m <-> n symmetry is checked on the uncached composite entry.
+    triples = all_triples(4)
+    count = 0
     for m in triples:
         for n in triples:
             for k in cg.gamma_module(m + n):
-                assert cg.product_contains(k, m, n) == cg.product_contains(k, n, m)
+                count += 1
+                assert abs(cg._composite_entry(k, m, n)) == abs(cg._composite_entry(k, n, m)), \
+                    (k, m, n)
+    assert count == 27069
 
 
 def test_product_contains_implies_componentwise_t():
@@ -362,6 +371,7 @@ def test_product_cache_key_ignores_argument_type():
     assert len(cg._PRODUCT_CACHE) == 1
     assert cg.product_contains(*plain)
     assert cg.product_contains(plain[0], triple[1], list(plain[2]))
+    assert cg.product_contains(triple[0], list(plain[2]), triple[1])
     assert len(cg._PRODUCT_CACHE) == 1
 
 
@@ -444,6 +454,55 @@ def test_product_contains_matches_dense_reference():
     assert ((2, 2, 2), (1, 1, 2), (1, 1, 2)) in seen_false
 
 
+def test_product_contains_matches_nine_j_oracle():
+    # V(k) lies in V(m) . V(n) iff the 9j symbol {m m1 m2; n n1 n2; k k1 k2}
+    # is nonzero; both argument orders share one cache entry.
+    cg._PRODUCT_CACHE.clear()
+    triples = all_triples(4)
+    components = zeros = 0
+    for m in triples:
+        for n in triples:
+            for k in cg.gamma_module(m + n):
+                if not all(triad(*c) for c in zip(m, n, k)):
+                    continue
+                components += 1
+                expected = nine_j_nonzero(*m, *n, *k)
+                zeros += not expected
+                assert cg.product_contains(k, m, n) == expected, (k, m, n)
+                assert cg.product_contains(k, n, m) == expected, (k, n, m)
+    assert (components, zeros) == (19495, 884)
+
+
+def as_argument(t):
+    """A triple as TTriple, plain tuple or list."""
+    return st.sampled_from((T(*t), tuple(t), list(t)))
+
+
+triples_any = st.one_of(st.sampled_from(all_triples(4)),
+                        st.tuples(*[st.integers(-1, 5)] * 3)).flatmap(as_argument)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_contains_property(data):
+    m, n = data.draw(triples_any), data.draw(triples_any)
+    if (cg.in_tensor_semigroup(m) and cg.in_tensor_semigroup(n)
+            and data.draw(st.booleans())):
+        k = data.draw(st.sampled_from(cg.gamma_module(tuple(map(sum, zip(m, n)))))
+                      .flatmap(as_argument))
+    else:
+        k = data.draw(triples_any)
+    valid = all(map(cg.in_tensor_semigroup, (k, m, n)))
+    for a, b in ((m, n), (n, m)):
+        if valid:
+            assert cg.product_contains(k, a, b) == dense_product_contains(k, a, b)
+        else:
+            before = dict(cg._PRODUCT_CACHE)
+            with pytest.raises(ValueError, match="is not in the tensor semigroup"):
+                cg.product_contains(k, a, b)
+            assert cg._PRODUCT_CACHE == before
+
+
 def lexicographic_gamma_product(m, n):
     """Reference: the first witness pair of Gamma(m) x Gamma(n) in
     lexicographic order, with no Cartan splits tried first."""
@@ -464,5 +523,6 @@ def test_section_sweep_computes_fewer_products():
     cg._PRODUCT_CACHE.clear()
     res = cg.section_sweep(4)
     assert res["ok"] and len(res["degenerate"]) == 884
-    # 60,267 keys with the lexicographic search alone
-    assert len(cg._PRODUCT_CACHE) < 30000
+    # 60,267 keys with the lexicographic search alone; 28,236 with one key
+    # per argument order and a fallback over every pair
+    assert len(cg._PRODUCT_CACHE) <= 10064
