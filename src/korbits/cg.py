@@ -140,7 +140,11 @@ def _composite_entry(k, m, n):
     Exchanging m and n changes it by a sign only.  k, m and n must lie in T.
     """
     (kv, k1, k2), (m, m1, m2), (n, n1, n2) = k, m, n
-    if not all(map(in_tensor_semigroup, ((m, n, kv), (m1, n1, k1), (m2, n2, k2)))):
+    # The three triads (m_i, n_i, k_i), tested inline; for k, m, n in T the
+    # parities are not implied: m = n = k = (1, 1, 0) gives (1, 1, 1).
+    if ((m + n + kv) % 2 or (m1 + n1 + k1) % 2 or (m2 + n2 + k2) % 2
+            or not (abs(m - n) <= kv <= m + n and abs(m1 - n1) <= k1 <= m1 + n1
+                    and abs(m2 - n2) <= k2 <= m2 + n2)):
         return 0
     iota1 = cg_injection(m, n, kv)[0]
     h12 = (kv + k1 - k2) // 2
@@ -187,7 +191,10 @@ def product_contains(k, m, n):
     and (k, n, m) share one cache entry, keyed with the smaller of m and n
     first.
     """
-    k, m, n = tuple(k), tuple(m), tuple(n)
+    # Tuples (TTriple among them) key the cache as they are, sharing the
+    # caller's objects; a list is copied into one.
+    if not (isinstance(k, tuple) and isinstance(m, tuple) and isinstance(n, tuple)):
+        k, m, n = tuple(k), tuple(m), tuple(n)
     key = (k, m, n) if m <= n else (k, n, m)
     # Only checked keys enter the cache, so a hit needs no validity check.
     found = _PRODUCT_CACHE.get(key)
@@ -217,6 +224,9 @@ def gamma_module(m):
     return out
 
 
+_VERIFY_CACHE = {}
+
+
 def verify_gamma_product(m, n):
     """Check Gamma(m) . Gamma(n) = Gamma(m + n) by exhaustive pair search.
 
@@ -224,24 +234,43 @@ def verify_gamma_product(m, n):
     product usually contains it.  So one walk over Gamma(m) x Gamma(n) first
     marks each Cartan sum mt + nt whose product contains it.  Each k left
     unmarked then tries, in lexicographic order, only the pairs whose three
-    component triangles (mt_i, nt_i, k_i) hold: no other pair can contain
-    V(k).  Either way the verdict is exact; `missing` is in Gamma(m + n)
-    order.
+    component triangles |mt_i - nt_i| <= k_i <= mt_i + nt_i hold: no other
+    pair can contain V(k).  No parity test is needed there, since mt, nt and
+    k lie in Gamma(m), Gamma(n) and Gamma(m + n), so mt_i + nt_i + k_i is
+    congruent to 2 (m_i + n_i) mod 2.  Either way the verdict is exact;
+    `missing` is in Gamma(m + n) order.
+
+    The product is commutative, so one search serves both orders: the
+    result is kept per unordered pair, keyed like `product_contains`, and
+    every call returns a fresh dict and list.
     """
+    m, n = tuple(m), tuple(n)
+    key = (m, n) if m <= n else (n, m)
+    missing = _VERIFY_CACHE.get(key)
+    if missing is None:
+        missing = _VERIFY_CACHE[key] = _gamma_product_missing(*key)
+    return {"ok": not missing, "missing": list(missing)}
+
+
+def _gamma_product_missing(m, n):
+    """The k in Gamma(m + n) inside no product V(mt) . V(nt), as a tuple."""
     gm = gamma_module(m)
     gn = gamma_module(n)
     covered = set()
     for mt in gm:
+        a, b, c = mt
         for nt in gn:
-            k = mt + nt
+            x, y, z = nt
+            k = (a + x, b + y, c + z)
             if k not in covered and product_contains(k, mt, nt):
                 covered.add(k)
     (a0, b0, c0), (a1, b1, c1) = m, n
-    missing = [k for k in gamma_module((a0 + a1, b0 + b1, c0 + c1))
-               if k not in covered
-               and not any(product_contains(k, mt, nt) for mt in gm for nt in gn
-                           if all(map(in_tensor_semigroup, zip(mt, nt, k))))]
-    return {"ok": not missing, "missing": missing}
+    return tuple(k for k in gamma_module((a0 + a1, b0 + b1, c0 + c1))
+                 if k not in covered
+                 and not any(product_contains(k, mt, nt) for mt in gm for nt in gn
+                             if abs(mt[0] - nt[0]) <= k[0] <= mt[0] + nt[0]
+                             and abs(mt[1] - nt[1]) <= k[1] <= mt[1] + nt[1]
+                             and abs(mt[2] - nt[2]) <= k[2] <= mt[2] + nt[2]))
 
 
 def section_sweep(top):

@@ -513,16 +513,79 @@ def lexicographic_gamma_product(m, n):
 
 
 def test_search_order_changes_no_verdict():
+    # One search serves (m, n) and (n, m), so the uncached search is also
+    # run in both orders.
     triples = all_triples(3)
     for m in triples:
         for n in triples:
-            assert cg.verify_gamma_product(m, n) == lexicographic_gamma_product(m, n), (m, n)
+            expected = lexicographic_gamma_product(m, n)
+            cg._VERIFY_CACHE.clear()
+            assert cg.verify_gamma_product(m, n) == expected, (m, n)
+            cg._VERIFY_CACHE.clear()
+            assert cg.verify_gamma_product(n, m) == expected, (n, m)
+            assert cg._gamma_product_missing(m, n) == cg._gamma_product_missing(n, m)
+
+
+def test_interval_filter_needs_no_parity_test():
+    # For mt in Gamma(m), nt in Gamma(n) and k in Gamma(m + n) every
+    # component sum mt_i + nt_i + k_i is even, so the fallback's interval
+    # test selects exactly the pairs that in_tensor_semigroup selects.  Both
+    # tests go component by component, so it suffices to check every
+    # (mt_i, nt_i, k_i) that occurs; both are symmetric in (m, mt) <->
+    # (n, nt), so m <= n suffices too.
+    triples = all_triples(4)
+    for i, m in enumerate(triples):
+        for n in triples[i:]:
+            modules = (cg.gamma_module(m), cg.gamma_module(n), cg.gamma_module(m + n))
+            for c in range(3):
+                for triad in itertools.product(*({t[c] for t in g} for g in modules)):
+                    a, b, k = triad
+                    assert (a + b + k) % 2 == 0, (m, n, c, triad)
+                    assert (abs(a - b) <= k <= a + b) == cg.in_tensor_semigroup(triad)
+
+
+def test_verify_gamma_product_returns_fresh_results():
+    cg._VERIFY_CACHE.clear()
+    m, n = T(1, 1, 2), T(2, 0, 2)
+    first = cg.verify_gamma_product(m, n)
+    assert first == {"ok": True, "missing": []}
+    first["missing"].append(T(9, 9, 9))
+    first["ok"] = False
+    assert cg.verify_gamma_product(m, n) == {"ok": True, "missing": []}
+    assert cg.verify_gamma_product(n, m) == {"ok": True, "missing": []}
+    assert len(cg._VERIFY_CACHE) == 1
+
+
+def test_verify_gamma_product_caches_no_invalid_input():
+    cg._VERIFY_CACHE.clear()
+    for m, n in ((T(1, 1, 1), T(1, 1, 2)), ((1, 1, 2), (0, 0, 1)), ([2, 2, 2], [3, 0, 0])):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="is not in the tensor semigroup"):
+                cg.verify_gamma_product(m, n)
+    assert not cg._VERIFY_CACHE
 
 
 def test_section_sweep_computes_fewer_products():
     cg._PRODUCT_CACHE.clear()
+    cg._VERIFY_CACHE.clear()
     res = cg.section_sweep(4)
     assert res["ok"] and len(res["degenerate"]) == 884
     # 60,267 keys with the lexicographic search alone; 28,236 with one key
     # per argument order and a fallback over every pair
     assert len(cg._PRODUCT_CACHE) <= 10064
+
+
+@pytest.mark.parametrize("top,size", [(3, 106), (4, 884)])
+def test_degenerate_list_symmetries(top, size):
+    # The 9j zero set is invariant under permuting its columns, that is the
+    # three SL(2) factors of k, m and n at once, and under exchanging the
+    # rows of m and n.  The shared cache entry makes m <-> n closure of the
+    # list itself vacuous, so each exchanged triple is also a 9j zero.
+    degenerate = cg.section_sweep(top)["degenerate"]
+    assert len(degenerate) == size
+    listed = {tuple(map(tuple, d)) for d in degenerate}
+    for k, m, n in listed:
+        for perm in itertools.permutations(range(3)):
+            assert tuple(tuple(t[i] for i in perm) for t in (k, m, n)) in listed, (k, m, n)
+        assert (k, n, m) in listed
+        assert not nine_j_nonzero(*n, *m, *k), (k, n, m)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import korbits
-from korbits import orbits
+from korbits import cli, orbits
 from korbits.cli import main
 
 REPORT_ALL_SHA256 = "82321344592a3466aa7af541c10c963afde0babea13b781456770f97d54c5439"
@@ -189,6 +189,29 @@ def test_normality_command(tmp_path):
     doc = json.loads(text)
     assert doc["data"]["normal"]
     assert doc["data"]["covering_plus_heights"] == [2]
+
+
+def test_normality_work_guard(tmp_path, capsys, monkeypatch):
+    # 10^11 sub-box tests: refused before any work, and nothing written.
+    out = tmp_path / "out.json"
+    assert main(["normality", "1.6", "--p", "7", "--q", "7", "--r", "3", "--s", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--bound 3 over the 11 Sigma coordinates" in err
+    assert "1.0e+11 sub-box tests, above the budget of 1e+08" in err
+    assert not out.exists()
+    # 10^7 sub-box tests (k = 7 at bound 3) still run.
+    calls = []
+    monkeypatch.setattr(cli, "covering_differences",
+                        lambda system, bound: calls.append(bound) or [])
+    assert main(["normality", "1.6", "--p", "5", "--q", "5", "--r", "2", "--s", "1",
+                 "--out", str(out)]) == 0
+    assert calls == [3]
+    # A bound below 1 keeps its own error, even where the formula is large.
+    monkeypatch.undo()
+    assert main(["normality", "1.6", "--p", "7", "--q", "7", "--r", "3", "--s", "2",
+                 "--bound", "-9", "--out", str(out)]) == 2
+    assert "bound must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, digest", [
