@@ -6,7 +6,8 @@ canonical order with sorted keys and no timestamps; run metadata (tool
 version, command, parameters) lives in a separate header object.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
-(including a --max-degree below the degree of a case's closed forms).
+(including a --max-degree below the degree of a case's closed forms, an
+integer too large for an index and an --out that cannot be written).
 """
 
 from __future__ import annotations
@@ -98,13 +99,13 @@ def _case_params(args):
 
 
 def _closed_forms(case, params, max_degree):
-    """The case's closed-form generators; exit 2 if max_degree is below
+    """The case's closed-form generators; ValueError if max_degree is below
     their top degree, where the truncated enumeration could not match."""
     closed = closed_form_generators(case, params)
     need = max(g.n1 + g.n2 for g in closed)
     if max_degree < need:
         shown = ", ".join(f"{k}={v}" for k, v in params.items())
-        raise SystemExit(f"error: the closed forms of case {case} ({shown}) reach degree "
+        raise ValueError(f"the closed forms of case {case} ({shown}) reach degree "
                          f"{need}; --max-degree {max_degree} cuts them off, "
                          f"give --max-degree {need} or more")
     return closed
@@ -164,7 +165,7 @@ def _cmd_normality(args):
     k = len(system.sigma_in_colors)
     boxes = ((args.bound + 1) * (args.bound + 2) // 2) ** k
     if args.bound >= 1 and boxes > _COVER_BUDGET:
-        raise SystemExit(f"error: --bound {args.bound} over the {k} Sigma coordinates of "
+        raise ValueError(f"--bound {args.bound} over the {k} Sigma coordinates of "
                          f"case {args.case} means up to {boxes:.1e} sub-box tests, above "
                          f"the budget of {_COVER_BUDGET:.0e}; give a smaller --bound")
     res = normality_check(system)
@@ -286,12 +287,7 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SystemExit as exc:
-        msg = str(exc)
-        if msg:
-            print(msg, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,18 +1,17 @@
 """Exact linear algebra over the rationals and over GF(p).
 
-Matrices are lists of lists of ints or Fractions; nothing here ever touches
-floating point.  One fraction-free elimination kernel, `_eliminate`, works
-on sparse rows {col: value} over Q and over GF(p), with one pivot step,
+Matrices are lists of lists of ints; nothing here ever touches floating
+point.  One fraction-free elimination kernel, `_eliminate`, works on sparse
+rows {col: value} over Q and over GF(p), with one pivot step,
 `_pivot_step`.  `rank` runs it forward only, on dense or sparse rows;
-`echelon` runs it with back-substitution and returns the dense reduced
-form that the semigroup lattice reads.  `simplex_max` is a small rational
-simplex for the LP bounds of the semigroup layer.
+`echelon` runs it over Q with back-substitution and returns the dense
+reduced form that the semigroup lattice reads.  `simplex_max` is a small
+rational simplex for the LP bounds of the semigroup layer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 
 def mat_mul(a, b):
@@ -40,17 +39,12 @@ def identity(n):
 
 
 def _sparse_row(row, p):
-    """The nonzero entries {col: value} of a dense or dict row: reduced mod
-    p when p is given, scaled to integers by the lcm of the denominators
-    over Q."""
+    """The nonzero entries {col: value} of a dense or dict row of ints,
+    reduced mod p when p is given."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     if p:
         return {c: x % p for c, x in items if x % p}
-    out = {c: x for c, x in items if x}
-    if any(type(x) is not int for x in out.values()):
-        den = lcm(*(Fraction(x).denominator for x in out.values()))
-        out = {c: int(x * den) for c, x in out.items()}
-    return out
+    return {c: x for c, x in items if x}
 
 
 def _eliminate(rows, p, reduced):
@@ -124,17 +118,16 @@ def _pivot_step(row, level, pr, c, p):
     return out
 
 
-def echelon(rows, p=None):
-    """Reduced row echelon form of dense rows of ints (or Fractions, over
-    Q), over Q or over GF(p) when a prime p is given.
+def echelon(rows):
+    """Reduced row echelon form over Q of dense rows of ints.
 
     Returns (rows, pivots, d): the nonzero rows in echelon order, the pivot
     column of each, and the common positive pivot value d.  Each row holds
     d at its own pivot column and 0 at the other pivot columns, so the
-    reduced row echelon form is rows / d; over GF(p), d is 1.
+    reduced row echelon form is rows / d.
     """
     ncols = len(rows[0]) if rows else 0
-    m, pivots, levels, d = _eliminate(rows, p, reduced=True)
+    m, pivots, levels, d = _eliminate(rows, None, reduced=True)
     dense = [[row.get(j, 0) * d // level for j in range(ncols)]
              for row, level in zip(m, levels)]
     return dense, pivots, d
@@ -143,8 +136,8 @@ def echelon(rows, p=None):
 def rank(rows, p=None):
     """Rank of a matrix over Q, or over GF(p) when a prime p is given.
 
-    Rows are dense lists or sparse dicts {col: value}; over Q the entries
-    may be Fractions.  The elimination runs forward only.
+    Rows are dense lists or sparse dicts {col: value} of ints.  The
+    elimination runs forward only.
     """
     return len(_eliminate(rows, p, reduced=False)[1])
 

@@ -22,8 +22,8 @@ and s) exchanged, moved back from C^q + C^p to C^p + C^q.  Cases 2.y and
 4.y share one table in dim V = 2n-1 or 2n-2.
 
 A realization keeps only the k- and p-bases; the Borel subalgebra b and
-its opposite nilradical n- are read off the k-basis; membership in g, k and
-p is an elimination against the bases.  The central cocharacter zeta
+its opposite nilradical n- are read off the k-basis; membership in k and p
+is an elimination against the bases.  The central cocharacter zeta
 (= m omega_p^vee, kept as its diagonal) acts with eigenvalues +m on p1 and
 -m on p2; it only gives the bicone charges.  h is diagonal too, so every
 ad(h) and ad(zeta) bracket is read off the diagonals with
@@ -55,10 +55,6 @@ class OrbitRecord:
     params: tuple = ()
     variant: str = ""
 
-    @property
-    def param_map(self):
-        return dict(self.params)
-
     def orbit_id(self):
         params = ",".join(f"{k}={v}" for k, v in self.params)
         parts = [self.pair.key(), self.case_id, params]
@@ -73,16 +69,17 @@ class OrbitRecord:
         n = self.pair.rank
         family = self.pair.family_id
         if family == SLPQ:
-            p, q = self.pair.pq
+            case, p, q, r, s, mirrored = _slpq_formula(self)
             rows = {
                 "1.3": [(2, "+", r), (2, "-", s), (1, "+", p - r - s), (1, "-", q - r - s)],
                 "1.4": [(3, "+", 2), (1, "+", p - 4)],
-                "1.5": [(3, "-", 2), (1, "-", q - 4)],
                 "1.6": [(3, "+", 1), (2, "+", r), (2, "-", s),
                         (1, "+", p - r - s - 2), (1, "-", q - r - s - 1)],
-                "1.7": [(3, "-", 1), (2, "+", r), (2, "-", s),
-                        (1, "+", p - r - s - 1), (1, "-", q - r - s - 2)],
             }[case]
+            if mirrored:   # signs exchanged, rows back in (length down, + first) order
+                flip = {"+": "-", "-": "+"}
+                rows = sorted(((a, flip[sg], m) for a, sg, m in rows),
+                              key=lambda row: (-row[0], row[1]))
         elif family in (SO_ODD, SO_EVEN_VECTOR):
             v = 2 * n - (1 if family == SO_ODD else 2)  # dim V
             rows = {
@@ -105,7 +102,7 @@ def _two_sided(rec):
 
     For x = 1, 3, 5, case x.1 (2^r) is case x.3 (2^r, -2^s) with s = 0 and
     case x.2 (-2^r) is x.3 with r = 0; every other record keeps its case."""
-    pm = rec.param_map
+    pm = dict(rec.params)
     r, s = pm.get("r", 0), pm.get("s", 0)
     family, sub = rec.case_id.split(".")
     if family in ("1", "3", "5") and sub in ("1", "2"):
@@ -258,8 +255,8 @@ class Realization:
     Each basis element has entry +-1 at its first nonzero position in
     row-major order (its anchor), and no later element of k_basis + p_basis
     is nonzero there.  The Borel and minus lists are the k-basis elements
-    anchored on or above and strictly below the diagonal, and membership in
-    g, k and p is one elimination.
+    anchored on or above and strictly below the diagonal, and membership of
+    a sparse matrix in k or p is one elimination.
     """
 
     def __init__(self, spec):
@@ -353,14 +350,11 @@ class Realization:
         self.zeta = (half,) * n + (-half,) * n
 
     # --- structural membership ------------------------------------------------
-    def in_g(self, x):
-        return _in_span(_sparse(x), self.k_basis + self.p_basis)
-
     def in_k(self, x):
-        return _in_span(_sparse(x), self.k_basis)
+        return _in_span(x, self.k_basis)
 
     def in_p(self, x):
-        return _in_span(_sparse(x), self.p_basis)
+        return _in_span(x, self.p_basis)
 
     def p_coords(self, x):
         """Coordinates of a sparse p-element in the p-basis as a sparse row
@@ -427,7 +421,8 @@ def list_orbits(pair, max_params=None):
         recs.append(OrbitRecord(pair, "1.4"))
     if p == 2 and q >= 4:
         recs.append(OrbitRecord(pair, "1.5"))
-    sides = range((max_params or max(p, q)) + 1)
+    top = max(p, q)   # no valid r or s exceeds it, whatever the cap
+    sides = range(min(max_params or top, top) + 1)
     for r in sides:
         for s in sides:
             if r + s + 2 <= p and r + s + 1 <= q:
@@ -658,9 +653,9 @@ def verify_triple(triple):
            and _ad(e)(f) == h)
     return {
         "sl2_ok": sl2,
-        "h_in_k": real.in_k(triple.h),
-        "e_in_p": real.in_p(triple.e),
-        "f_in_p": real.in_p(triple.f),
+        "h_in_k": real.in_k(h),
+        "e_in_p": real.in_p(e),
+        "f_in_p": real.in_p(f),
     }
 
 
@@ -794,14 +789,12 @@ def partition_from_signed(rec):
 
 
 def bicone_witness(triple):
-    """Lie-level bicone data: h-weight 2 and central charges (+m, -m)."""
+    """Lie-level bicone data: the central charges (+m, -m) of e."""
     real = triple.realization
     m = real.spec.m
-    e = _sparse(triple.e)
-    zeta_weights = diagonal_weights(real.zeta, e)
+    zeta_weights = diagonal_weights(real.zeta, _sparse(triple.e))
     charges = tuple(c if c in zeta_weights else None for c in (m, -m))
     return {
-        "h_weight_on_e": 2 if diagonal_weights(_diagonal(triple.h), e) <= {2} else None,
         "chi_charges": charges,
         "both_components_nonzero": None not in charges,
     }

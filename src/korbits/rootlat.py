@@ -17,8 +17,6 @@ CLASSICAL_TYPES = ("A", "B", "C", "D")
 
 SIMPLE_ROOTS = "SimpleRoots"
 FUND_WEIGHTS = "FundWeights"
-COLORS = "Colors"
-SPHERICAL_ROOTS = "SphericalRoots"
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .spherical import system_case_1_4, system_case_1_5, two_wing_structure
+from .spherical import TwoWingSystem, system_case_1_4, system_case_1_5
 
 
 @dataclass(frozen=True)
@@ -350,7 +350,7 @@ def build_case_system(case_id, params):
         return system_case_1_4(*args)
     if case_id == "1.5":
         return system_case_1_5(*args)
-    return two_wing_structure(case_id, *args).system
+    return TwoWingSystem(case_id, *args).system
 
 
 def closed_form_generators(case_id, params):
@@ -363,7 +363,7 @@ def closed_form_generators(case_id, params):
                 SemigroupTriple(1, 1, u("D3")), SemigroupTriple(2, 0, u("D4")),
                 SemigroupTriple(0, 2, u(last))]
         return sorted(gens, key=SemigroupTriple.key)
-    tw = two_wing_structure(case_id, *_case_args(case_id, params))
+    tw = TwoWingSystem(case_id, *_case_args(case_id, params))
     gens = []
     for i in range(1, tw.r1 + 2):
         gens.append(SemigroupTriple(i, 0, tw.tilde(1, 2 * i)))

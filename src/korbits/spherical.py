@@ -23,6 +23,7 @@ the test suite against the full set of coefficient identities.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 from . import linalg
@@ -139,10 +140,14 @@ class TwoWingSystem:
     """
 
     def __init__(self, case_id, p, q, r, s):
+        if case_id not in ("1.6", "1.7"):
+            raise ValueError(f"not a two-wing case: {case_id}")
         self.case_id = case_id
         mirror = case_id == "1.7"
         if r < 0 or s < 0:
             raise ValueError("wing sizes must be nonnegative")
+        if max(p, q) > sys.maxsize:   # the ambient rank p + q - 2 is an index
+            raise OverflowError("p and q must fit an index-sized integer")
         # 1.7 is 1.6 with p and q exchanged: a and b are 1.6's p and q.
         a, b = (q, p) if mirror else (p, q)
         if r + s + 2 > a or r + s + 1 > b:
@@ -256,10 +261,9 @@ class TwoWingSystem:
         sigma = tuple(roots[nm] for nm in names)
         sys_ = SphericalSystem(f"case{self.case_id}", rs, tuple(sorted(sp)),
                                tuple(names), sigma, colors, tuple(rows))
-        d1 = self._vec([(1, 2, 1)] + ([(1, 3, 1)] if r == 0 else []))
-        d2 = self._vec([(2, 2, 1)] + ([(2, 3, 1)] if s == 0 else []))
-        self.d1, self.d2 = d1, d2
-        return sys_.with_designated(d1, d2)
+        return sys_.with_designated(
+            self._vec([(1, 2, 1)] + ([(1, 3, 1)] if r == 0 else [])),
+            self._vec([(2, 2, 1)] + ([(2, 3, 1)] if s == 0 else [])))
 
     def tilde(self, k, h):
         """hat-D^k_h as a color vector (absent colors contribute zero)."""
@@ -277,10 +281,3 @@ def system_case_1_6(p, q, r, s):
 def system_case_1_7(p, q, r, s):
     """Mirror two-wing system of the (-3, +2^r, -2^s, ...) orbits."""
     return TwoWingSystem("1.7", p, q, r, s).system
-
-
-def two_wing_structure(case_id, p, q, r, s):
-    if case_id not in ("1.6", "1.7"):
-        raise ValueError(f"not a two-wing case: {case_id}")
-    return TwoWingSystem(case_id, p, q, r, s)
-

@@ -1,12 +1,14 @@
 """Reference oracles for the tests: textbook Gauss-Jordan over Fraction, an
 exact solve on it, the euclidean realizations of the classical root systems,
-color vectors of spherical systems and a Racah 6j/9j zero test.  None of
-them runs `linalg.echelon`, `korbits.cg` or any other kernel that they
-check."""
+color vectors of spherical systems, orbit dimensions read off signed Young
+diagrams and a Racah 6j/9j zero test.  None of them runs `linalg.echelon`,
+`korbits.cg` or any other kernel that they check."""
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
+
+from korbits.hermitian import SLPQ, SO_EVEN_GL, SO_EVEN_VECTOR, SO_ODD, SP
 
 
 def reference_rref(rows):
@@ -133,6 +135,63 @@ def color_sum(system, *names):
     for name in names:
         v[system.color_index(name)] += 1
     return tuple(v)
+
+
+# ---------------------------------------------------------------------------
+# Orbit dimensions from the signed Young diagram.
+
+def diagram_dims(rec):
+    """(dim K_h, dim L_e, deficit) of an orbit record, from its signed
+    partition alone.
+
+    A row (a, s, m) has boxes of signs s, -s, s, ... with h-eigenvalues
+    a-1, a-3, ...; SO(2n)/GL(n) rows count twice.  Rows of the paired
+    parity (even for the SO vector cases, odd for Sp and SO(2n)/GL(n)) are
+    half of sign s and half of sign -s, and each such row type adds
+    GL(m/2) to L_e.  The deficit is dim L_e + dim Q^u - dim K_e, with
+    dim Ke = dim G.e / 2 (Kostant-Rallis) and dim G.e from the Jordan
+    partition (Collingwood-McGovern, Cor. 6.1.4).
+    """
+    family = rec.pair.family_id
+    scale = 2 if family == SO_EVEN_GL else 1
+    paired = {SO_ODD: 0, SO_EVEN_VECTOR: 0, SP: 1, SO_EVEN_GL: 1}.get(family)
+    flip = {"+": "-", "-": "+"}
+    boxes = {}      # (sign, h-eigenvalue) -> number of boxes
+    parts = []      # the Jordan partition on the defining representation
+    dim_le = 0
+    for a, sign, m in rec.signed_partition():
+        m *= scale
+        parts += [a] * m
+        if a % 2 == paired:
+            rows = ((sign, m // 2), (flip[sign], m // 2))
+            dim_le += (m // 2) ** 2
+        else:
+            rows = ((sign, m),)
+            dim_le += {SLPQ: m * m, SO_EVEN_GL: comb(m + 1, 2)}.get(family, comb(m, 2))
+        for first, count in rows:
+            for i in range(a):
+                key = (first if i % 2 == 0 else flip[first], a - 1 - 2 * i)
+                boxes[key] = boxes.get(key, 0) + count
+    plus = sum(c for (sg, _), c in boxes.items() if sg == "+")
+    if family == SLPQ:
+        dim_kh = sum(c * c for c in boxes.values()) - 1
+        dim_le -= 1
+        dim_k = plus ** 2 + (sum(boxes.values()) - plus) ** 2 - 1
+    elif family in (SO_ODD, SO_EVEN_VECTOR):
+        dim_kh = sum(c * c if lam > 0 else comb(c, 2)
+                     for (_, lam), c in boxes.items() if lam >= 0)
+        dim_k = comb(plus, 2) + 1
+    else:
+        dim_kh = sum(c * c for (sg, _), c in boxes.items() if sg == "+")
+        dim_k = rec.pair.rank ** 2
+    n = sum(parts)
+    squares = sum(sum(1 for x in parts if x >= i) ** 2 for i in range(1, max(parts) + 1))
+    odd = sum(x % 2 for x in parts)
+    dim_orbit = {SLPQ: n * n - squares,
+                 SP: comb(n + 1, 2) - (squares + odd) // 2}.get(
+                     family, comb(n, 2) - (squares - odd) // 2)
+    deficit = dim_le + (dim_k - dim_kh) // 2 - (dim_k - dim_orbit // 2)
+    return dim_kh, dim_le, deficit
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import korbits
 from korbits import cli, orbits
@@ -302,6 +304,97 @@ def test_usage_error_exit_code():
     assert main([]) == 2
 
 
+def assert_one_error_line(capsys, text):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert text in err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    assert main(["pairs", "A", "3", "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    assert_one_error_line(capsys, "No such file or directory")
+    assert main(["pairs", "A", "3", "--out", str(tmp_path)]) == 2
+    assert_one_error_line(capsys, "Is a directory")
+
+
+BIG = str(10 ** 20)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["pairs", "A", BIG], "cannot fit 'int' into an index-sized integer"),
+    (["orbits", f"A:{BIG}:p=1"], "cannot fit 'int' into an index-sized integer"),
+    (["triple", f"A:{BIG}:p=1/1.1/r=1"], "cannot fit 'int' into an index-sized integer"),
+    (["semigroup", "1.4", "--p", BIG], "cannot fit 'int' into an index-sized integer"),
+    # The two-wing systems walk the ambient rank before they index by it.
+    (["semigroup", "1.6", "--p", BIG, "--q", BIG, "--r", "0", "--s", "0"],
+     "p and q must fit an index-sized integer"),
+    (["normality", "1.6", "--p", BIG, "--q", "1", "--r", "0", "--s", "0"],
+     "p and q must fit an index-sized integer"),
+])
+def test_integer_beyond_index_range_is_usage_error(argv, text, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert_one_error_line(capsys, text)
+
+
+# Integers for the fuzz test: small ones, and one beyond the index range.
+# None is mid-size: `pairs A 1000000` is slow rather than wrong.
+# --max-degree and the cg-verify bound have no work guard, so they only get
+# small ones.
+SMALL = st.integers(-3, 4).map(str)
+ANY_INT = st.one_of(SMALL, st.just(BIG))
+PAIR_KEYS = st.builds("{}:{}{}".format, st.sampled_from("ABCDE"), ANY_INT,
+                      st.one_of(st.sampled_from(["", ":vec", ":gl", ":x", ":p=1:x"]),
+                                ANY_INT.map(":p={}".format)))
+PARAMS = st.one_of(st.sampled_from(["", "r", "r=x"]), ANY_INT.map("r={}".format),
+                   st.builds("r={},s={}".format, ANY_INT, ANY_INT))
+ORBIT_IDS = st.builds("{}/{}/{}{}".format, PAIR_KEYS,
+                      st.sampled_from(["1.1", "1.3", "1.4", "1.6", "1.7", "2.1", "3.3",
+                                       "5.4", "9.9"]),
+                      PARAMS, st.sampled_from(["", "/I", "/II", "/x/y"]))
+CASES = st.sampled_from(["1.4", "1.5", "1.6", "1.7", "9.9"])
+
+
+def flags(draw, names, values):
+    """Some of the flags, each with a drawn value."""
+    return [x for name in names if draw(st.booleans())
+            for x in (name, draw(values))]
+
+
+@st.composite
+def cli_argvs(draw, out_paths):
+    command = draw(st.sampled_from(["pairs", "orbits", "triple", "semigroup", "normality",
+                                    "cg-verify", "report-all", "bogus"]))
+    if command == "pairs":
+        argv = [command, draw(st.sampled_from("ABCDE")), draw(ANY_INT)]
+    elif command == "orbits":
+        argv = [command, draw(PAIR_KEYS)] + flags(draw, ["--max-params"], ANY_INT)
+    elif command == "triple":
+        argv = [command, draw(ORBIT_IDS)]
+    elif command in ("semigroup", "normality"):
+        argv = [command, draw(CASES)] + flags(draw, ["--p", "--q", "--r", "--s"], ANY_INT)
+        argv += (flags(draw, ["--max-degree"], SMALL) if command == "semigroup"
+                 else flags(draw, ["--bound"], ANY_INT))
+    elif command == "cg-verify":
+        argv = [command] + draw(st.lists(SMALL, max_size=1))
+    else:
+        argv = [command] + flags(draw, ["--max-degree"], SMALL)
+    return argv + flags(draw, ["--format"], st.sampled_from(["json", "tsv", "xml"])) + [
+        "--out", draw(st.sampled_from(out_paths))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_out_paths(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    return [str(base / "out.json"), str(base / "missing" / "out.json"), str(base)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_with_a_documented_code(fuzz_out_paths, data):
+    argv = data.draw(cli_argvs(fuzz_out_paths))
+    assert main(argv) in (0, 1, 2), argv
+
+
 # Each command once; run in a fresh interpreter so that no cache filled by an
 # earlier test hides a function that only runs on a cache miss.
 REACH_ARGV = [
@@ -336,8 +429,6 @@ print(json.dumps({"codes": codes, "reached": sorted(reached)}))
 # Top-level src/ functions and methods that no command runs, each kept for
 # a stated reason.
 UNREACHED_ALLOWLIST = {
-    # Membership in g, which the tests check beside membership in k and p.
-    "orbits.Realization.in_g",
     # Dense matrix helpers, the tests' reference for the sparse orbit layer.
     "linalg.identity", "linalg.mat_mul", "linalg.mat_add", "linalg.mat_sub",
     # Wrapped by the benchmark tracer through a bare getattr.

@@ -88,10 +88,8 @@ def test_echelon_matches_fraction_reference(rows):
 def test_rank_mod_p_at_most_rank_over_q(rows):
     rank_q = linalg.rank(rows)
     for p in (3, PRIME):
-        red, pivots, d = linalg.echelon(rows, p)
-        assert d == 1 and all(row[c] == 1 for row, c in zip(red, pivots))
-        assert linalg.rank(rows, p) == len(pivots) <= rank_q
-        assert linalg.rank(sparse(rows), p) == len(pivots) == reference_rank_mod_p(rows, p)
+        rank_p = reference_rank_mod_p(rows, p)
+        assert linalg.rank(rows, p) == linalg.rank(sparse(rows), p) == rank_p <= rank_q
 
 
 def sparse_rank_deficient(rng, nrows=40, ncols=80, rank=25, density=0.1):

@@ -10,6 +10,7 @@ from korbits import orbits as ob
 from korbits.hermitian import (_RANK_BOUNDS, SLPQ, SO_EVEN_VECTOR, SO_ODD, SP,
                                enumerate_pairs, parse_pair_key)
 from korbits import linalg
+from oracles import diagram_dims
 
 PRIME = (1 << 61) - 1
 
@@ -106,11 +107,12 @@ def test_k_p_membership():
                                        ("D:6:p=6", "5.4", (), "")):
         t = ob.build_triple(rec(key, case, params, variant))
         real = t.realization
-        assert real.in_k(t.h) and not real.in_p(t.h)
-        assert real.in_p(t.e) and not real.in_k(t.e)
-        assert real.in_p(t.f) and not real.in_k(t.f)
-        mixed = linalg.mat_add(t.h, t.e)
-        assert real.in_g(mixed)
+        h, e, f = (ob._sparse(m) for m in (t.h, t.e, t.f))
+        assert real.in_k(h) and not real.in_p(h)
+        assert real.in_p(e) and not real.in_k(e)
+        assert real.in_p(f) and not real.in_k(f)
+        mixed = ob._add(h, e)
+        assert ob._in_span(mixed, real.k_basis + real.p_basis)
         assert not real.in_k(mixed) and not real.in_p(mixed)
 
 
@@ -213,7 +215,9 @@ def test_membership_matches_defining_equations():
         for x in mats:
             d = dense(x, n, n)
             want = reference_membership(real, d)
-            assert (real.in_g(d), real.in_k(d), real.in_p(d)) == want, (key, x)
+            x = ob._sparse(d)
+            got = (ob._in_span(x, real.k_basis + real.p_basis), real.in_k(x), real.in_p(x))
+            assert got == want, (key, x)
             seen.add(want)
         # every verdict that can occur does: g only, k, p and outside g
         assert seen >= {(True, False, False), (True, True, False),
@@ -460,7 +464,6 @@ def test_bicone_witness_cases():
     assert single["chi_charges"][1] is None and not single["both_components_nonzero"]
     deg = ob.bicone_witness(ob.build_triple(rec("B:3", "2.2")))
     assert deg["both_components_nonzero"]
-    assert deg["h_weight_on_e"] == 2
 
 
 def test_verify_orbit_checks_invariants_against_the_record():
@@ -565,3 +568,23 @@ def test_capped_listing_digest():
                         count += 1
     assert count == 7812
     assert digest.hexdigest() == CAPPED_LISTING_SHA256
+
+
+def test_cap_beyond_every_parameter_lists_everything():
+    for key in ("A:4:p=2", "A:7:p=4", "C:3", "D:6:p=6"):
+        pair = parse_pair_key(key)
+        assert ob.list_orbits(pair, 10 ** 20) == ob.list_orbits(pair)
+
+
+def test_expected_dims_match_the_signed_young_diagram():
+    # The case formulas of expected_dims against diagram_dims, which reads
+    # the same dimensions off the signed partition, on every record of
+    # every A-D pair of rank <= 12.
+    count = 0
+    for g_type in "ABCD":
+        for n in range(_RANK_BOUNDS[g_type], 13):
+            for pair in enumerate_pairs(g_type, n):
+                for r in ob.list_orbits(pair):
+                    assert diagram_dims(r) == ob.expected_dims(r), r.orbit_id()
+                    count += 1
+    assert count == 2151

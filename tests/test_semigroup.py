@@ -237,13 +237,13 @@ def test_gamma_sigma_basis_is_closed_form_differences():
 
 def test_closed_form_16_examples():
     params = dict(p=4, q=4, r=1, s=1)
-    tw = sp.two_wing_structure("1.6", **params)
+    tw = sp.TwoWingSystem("1.6", **params)
     gens = {g.key() for g in sg.closed_form_generators("1.6", params)}
     e11 = tuple(a + b for a, b in zip(tw.tilde(1, 1), tw.tilde(2, 1)))
     assert (1, 1, e11) in gens
     # gamma_{1,1} really is sigma^1_2 + sigma^2_2 + tau
     lat = sg.lattice(tw.system)
-    target = tuple(a + b - e for a, b, e in zip(tw.d1, tw.d2, e11))
+    target = tuple(a + b - e for a, b, e in zip(*tw.system.designated, e11))
     coords = dict(zip(tw.system.sigma_names, lat.nsigma_coords(target)))
     assert coords == {"s1_1": 0, "s1_2": 1, "s2_1": 0, "s2_2": 1, "tau": 1}
 

@@ -82,31 +82,37 @@ def test_two_wing_param_validation():
         sp.system_case_1_7(4, 3, 1, 1)   # needs r+s+2 <= q
 
 
+def test_two_wing_rejects_other_cases():
+    for case in ("1.8", "1.4", "1.5"):
+        with pytest.raises(ValueError, match="not a two-wing case"):
+            sp.TwoWingSystem(case, 4, 4, 1, 1)
+
+
 def test_degenerate_wing_designated():
-    tw = sp.two_wing_structure("1.6", 5, 5, 1, 0)
+    tw = sp.TwoWingSystem("1.6", 5, 5, 1, 0)
     s = tw.system
     d2 = s.designated[1]
     assert d2 == color_sum(s, "D2_2", "D2_3")
     assert s.designated[0] == s.unit_color("D1_2")
     # boundary s = 0: the second designated color crosses into wing 1
-    twb = sp.two_wing_structure("1.6", 5, 2, 1, 0)
+    twb = sp.TwoWingSystem("1.6", 5, 2, 1, 0)
     sb = twb.system
     assert sb.designated[1] == color_sum(sb, "D2_2", "D1_3")
     assert twb.col(2, 3) == sb.color_index("D1_3")
 
 
 def test_end_color_merge_at_minimal_p():
-    tw = sp.two_wing_structure("1.6", 4, 5, 1, 1)   # p = r+s+2
+    tw = sp.TwoWingSystem("1.6", 4, 5, 1, 1)   # p = r+s+2
     s = tw.system
     assert tw.col(1, 4) == tw.col(2, 4)
     assert "D2_4" not in s.colors
-    big = sp.two_wing_structure("1.6", 5, 5, 1, 1)
+    big = sp.TwoWingSystem("1.6", 5, 5, 1, 1)
     assert big.col(1, 4) != big.col(2, 4)
     # mirror case merges at minimal q instead
-    tw7 = sp.two_wing_structure("1.7", 5, 4, 1, 1)
+    tw7 = sp.TwoWingSystem("1.7", 5, 4, 1, 1)
     assert tw7.col(1, 4) == tw7.col(2, 4)
-    assert sp.two_wing_structure("1.7", 5, 5, 1, 1).col(1, 4) != \
-        sp.two_wing_structure("1.7", 5, 5, 1, 1).col(2, 4)
+    assert sp.TwoWingSystem("1.7", 5, 5, 1, 1).col(1, 4) != \
+        sp.TwoWingSystem("1.7", 5, 5, 1, 1).col(2, 4)
 
 
 def test_two_wing_coefficient_formulas():
@@ -120,7 +126,7 @@ def test_two_wing_coefficient_formulas():
             grid.append(("1.7", r + s + 2, r + s + 3, r, s))
             grid.append(("1.7", r + s + 1, r + s + 3, r, s))
     for case, p, q, r, s in grid:
-        tw = sp.two_wing_structure(case, p, q, r, s)
+        tw = sp.TwoWingSystem(case, p, q, r, s)
         names = tw.system.sigma_names
         rows = tw.system.sigma_in_colors
         nc = len(tw.system.colors)
@@ -165,10 +171,11 @@ def test_two_wing_generator_identities():
     for case, p, q, r, s in (("1.6", 6, 6, 2, 1), ("1.6", 5, 3, 1, 1),
                              ("1.7", 5, 6, 1, 2), ("1.7", 3, 6, 1, 1),
                              ("1.6", 4, 4, 0, 2), ("1.6", 5, 3, 2, 0)):
-        tw = sp.two_wing_structure(case, p, q, r, s)
+        tw = sp.TwoWingSystem(case, p, q, r, s)
         names = tw.system.sigma_names
         rows = tw.system.sigma_in_colors
         nc = len(tw.system.colors)
+        d1, d2 = tw.system.designated
 
         def combo(pairs):
             acc = [0] * nc
@@ -178,7 +185,7 @@ def test_two_wing_generator_identities():
                     acc[j] += c * row[j]
             return tuple(acc)
 
-        for k, rk, dk in ((1, tw.r1, tw.d1), (2, tw.r2, tw.d2)):
+        for k, rk, dk in ((1, tw.r1, d1), (2, tw.r2, d2)):
             for i in range(1, rk + 2):
                 pairs = []
                 for u in range(1, i):
@@ -201,7 +208,7 @@ def test_two_wing_generator_identities():
                 if not tw.boundary:
                     pairs.append(("tau", 1))
                 t1, t2 = tw.tilde(1, 2 * i - 1), tw.tilde(2, 2 * j - 1)
-                expected = tuple(i * tw.d1[x] + j * tw.d2[x] - t1[x] - t2[x]
+                expected = tuple(i * d1[x] + j * d2[x] - t1[x] - t2[x]
                                  for x in range(nc))
                 assert combo(pairs) == expected
 
