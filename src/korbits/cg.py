@@ -5,7 +5,8 @@ V(m) has weight basis x_0, ..., x_m ordered highest to lowest, with
 f.x_j = x_{j+1}, e.x_j = j(m-j+1) x_{j-1}, h.x_j = (m-2j) x_j.  Everything
 is integer arithmetic: projections are primitive integer rows stored by
 weight block, and the product criterion is a zero test, so scalings never
-matter (the tests check this explicitly).
+matter (the tests check this explicitly).  Each product V(m) . V(n) is
+computed once, as the table of its components, for the unordered pair.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 
 class TTriple(namedtuple("TTriple", "m m1 m2")):
@@ -134,47 +136,51 @@ def _check_members(*triples):
             raise ValueError(f"{TTriple(*t)} is not in the tensor semigroup")
 
 
-def _composite_entry(k, m, n):
-    """The top-row entry of the composite of `product_contains`, an exact
-    integer, uncached; 0 when a component triangle (m_i, n_i, k_i) fails.
-    Exchanging m and n changes it by a sign only.  k, m and n must lie in T.
-    """
-    (kv, k1, k2), (m, m1, m2), (n, n1, n2) = k, m, n
-    # The three triads (m_i, n_i, k_i), tested inline; for k, m, n in T the
-    # parities are not implied: m = n = k = (1, 1, 0) gives (1, 1, 1).
-    if ((m + n + kv) % 2 or (m1 + n1 + k1) % 2 or (m2 + n2 + k2) % 2
-            or not (abs(m - n) <= kv <= m + n and abs(m1 - n1) <= k1 <= m1 + n1
-                    and abs(m2 - n2) <= k2 <= m2 + n2)):
-        return 0
-    iota1 = cg_injection(m, n, kv)[0]
-    h12 = (kv + k1 - k2) // 2
-    iota2 = cg_injection(m1, n1, k1)[h12]
-    rows1 = cg_projection(m, m1, m2).rows
-    rows2 = cg_projection(n, n1, n2).rows
-    top = cg_projection(m2, n2, k2).rows[0]
-    # iota1[i] is the entry of x_0 at x_i (x) x_j, j = h1 - i, and iota2[i1]
-    # that of x_h12 at x_i1 (x) x_j1; the term (x_i (x) x_j) (x) (x_i1 (x)
-    # x_j1) has weight row al = i + i1 - off of rows1, and the weight-k2
-    # block pairs it with be = half - al, which rows2[be] reads at j.
-    h1 = (m + n - kv) // 2
-    off = (m + m1 - m2) // 2
-    half = (m2 + n2 - k2) // 2
-    vs = [(i1, cj) for i1, cj in enumerate(iota2) if cj]
-    total = 0
-    for i, ci in enumerate(iota1):
-        if not ci:
-            continue
-        j = h1 - i
-        for i1, cj in vs:
-            al = i + i1 - off
-            be = half - al
-            if 0 <= al <= m2 and 0 <= be <= n2:
-                w1 = rows1[al][i]
-                if w1:
-                    w2 = rows2[be][j]
-                    if w2:
-                        total += ci * cj * w1 * w2 * top[al]
-    return total
+def _product_table(m, n):
+    """The k with V(k) inside V(m) . V(n), uncached, as a frozenset of plain
+    tuples: the k in Gamma(m + n) whose composite (see `product_contains`)
+    has a nonzero top-row entry; any other k fails a triad (m_i, n_i, k_i).
+    In Gamma(m + n) each triad has an even sum and k_i <= m_i + n_i, so only
+    |m_i - n_i| <= k_i bounds the walk.  m, n in T, in either order."""
+    (m0, m1, m2), (n0, n1, n2) = m, n
+    rows1 = cg_projection(m0, m1, m2).rows
+    rows2 = cg_projection(n0, n1, n2).rows
+    off = (m0 + m1 - m2) // 2
+    table = []
+    for kv in range(abs(m0 - n0), m0 + n0 + 1, 2):
+        # iota1 holds the entries of x_0 in V(kv), at x_i (x) x_j, j = h1 - i.
+        h1 = (m0 + n0 - kv) // 2
+        iota1 = [(i, h1 - i, ci) for i, ci in enumerate(cg_injection(m0, n0, kv)[0]) if ci]
+        for k2 in range(abs(m2 - n2), m2 + n2 + 1, 2):
+            # (x_i (x) x_j) (x) (x_i1 (x) x_j1) meets row al of rows1 at
+            # x_i (x) x_i1, i1 = off + al - i (rows1 is 0 where i1 is no
+            # index), and rows2 at row half - al, entry j; the top row of
+            # pi(m2, n2 -> k2) is nonzero on al = 0..half exactly.  So the
+            # entry is sum_i1 v[i1] iota2[i1], with v independent of k1.
+            top = cg_projection(m2, n2, k2).rows[0]
+            half = (m2 + n2 - k2) // 2
+            v = [0] * (m1 + 1)
+            for i, j, ci in iota1:
+                for al in range(half + 1):
+                    w = rows1[al][i] * rows2[half - al][j]
+                    if w:
+                        v[off + al - i] += ci * w * top[al]
+            # k1 keeps its triad and the triangle |kv - k2| <= k1 <= kv + k2 of
+            # k; iota2 holds the entries of x_h12 in V(k1) at x_i1 (x) x_j1.
+            for k1 in range(max(abs(m1 - n1), abs(kv - k2)), min(m1 + n1, kv + k2) + 1, 2):
+                iota2 = cg_injection(m1, n1, k1)[(kv + k1 - k2) // 2]
+                if sum(map(mul, v, iota2)):
+                    table.append((kv, k1, k2))
+    return frozenset(table)
+
+
+def _table(m, n):
+    """The cached `_product_table` of the unordered pair {m, n}, both in T."""
+    key = (m, n) if m <= n else (n, m)
+    table = _PRODUCT_CACHE.get(key)
+    if table is None:
+        table = _PRODUCT_CACHE[key] = _product_table(*key)
+    return table
 
 
 def product_contains(k, m, n):
@@ -187,21 +193,20 @@ def product_contains(k, m, n):
     there is zero exactly when c = 0, and that one entry decides.
 
     c is a 9j recoupling coefficient up to a nonzero factor, and exchanging
-    m and n changes it by a sign only (Edmonds 1957, ch. 6), so (k, m, n)
-    and (k, n, m) share one cache entry, keyed with the smaller of m and n
-    first.
+    m and n changes it by a sign only (Edmonds 1957, ch. 6).  So one table
+    per unordered pair {m, n}, `_product_table`, holds every k of the
+    product, and the call is a set lookup.
     """
-    # Tuples (TTriple among them) key the cache as they are, sharing the
-    # caller's objects; a list is copied into one.
+    # Tuples (TTriple among them) are used as they are; a list is copied.
     if not (isinstance(k, tuple) and isinstance(m, tuple) and isinstance(n, tuple)):
         k, m, n = tuple(k), tuple(m), tuple(n)
-    key = (k, m, n) if m <= n else (k, n, m)
-    # Only checked keys enter the cache, so a hit needs no validity check.
-    found = _PRODUCT_CACHE.get(key)
-    if found is None:
+    # Only checked pairs have a table, and only members of T lie in one, so
+    # a k found needs no validity check; anything else is checked first.
+    table = _PRODUCT_CACHE.get((m, n) if m <= n else (n, m), ())
+    if k not in table:
         _check_members(k, m, n)
-        found = _PRODUCT_CACHE[key] = _composite_entry(*key) != 0
-    return found
+        table = _table(m, n)
+    return k in table
 
 
 _GAMMA_CACHE = {}
@@ -228,20 +233,15 @@ _VERIFY_CACHE = {}
 
 
 def verify_gamma_product(m, n):
-    """Check Gamma(m) . Gamma(n) = Gamma(m + n) by exhaustive pair search.
-
-    V(mt + nt) is the top (Cartan) component of V(mt) (x) V(nt), and such a
-    product usually contains it.  So one walk over Gamma(m) x Gamma(n) first
-    marks each Cartan sum mt + nt whose product contains it.  Each k left
-    unmarked then tries, in lexicographic order, only the pairs whose three
-    component triangles |mt_i - nt_i| <= k_i <= mt_i + nt_i hold: no other
-    pair can contain V(k).  No parity test is needed there, since mt, nt and
-    k lie in Gamma(m), Gamma(n) and Gamma(m + n), so mt_i + nt_i + k_i is
-    congruent to 2 (m_i + n_i) mod 2.  Either way the verdict is exact;
-    `missing` is in Gamma(m + n) order.
+    """Check Gamma(m) . Gamma(n) = Gamma(m + n): `missing` lists, in
+    Gamma(m + n) order, the k outside the union of the product tables of all
+    (mt, nt) in Gamma(m) x Gamma(n).  The verdict is exact: the table of
+    (mt, nt) lies in Gamma(mt + nt), inside Gamma(m + n), and any other k of
+    Gamma(m + n) fails a component triad of (mt, nt, k), so V(mt) . V(nt)
+    cannot contain it.
 
     The product is commutative, so one search serves both orders: the
-    result is kept per unordered pair, keyed like `product_contains`, and
+    result is kept per unordered pair, keyed like the product tables, and
     every call returns a fresh dict and list.
     """
     m, n = tuple(m), tuple(n)
@@ -254,23 +254,13 @@ def verify_gamma_product(m, n):
 
 def _gamma_product_missing(m, n):
     """The k in Gamma(m + n) inside no product V(mt) . V(nt), as a tuple."""
-    gm = gamma_module(m)
     gn = gamma_module(n)
     covered = set()
-    for mt in gm:
-        a, b, c = mt
+    for mt in gamma_module(m):
         for nt in gn:
-            x, y, z = nt
-            k = (a + x, b + y, c + z)
-            if k not in covered and product_contains(k, mt, nt):
-                covered.add(k)
+            covered |= _table(mt, nt)
     (a0, b0, c0), (a1, b1, c1) = m, n
-    return tuple(k for k in gamma_module((a0 + a1, b0 + b1, c0 + c1))
-                 if k not in covered
-                 and not any(product_contains(k, mt, nt) for mt in gm for nt in gn
-                             if abs(mt[0] - nt[0]) <= k[0] <= mt[0] + nt[0]
-                             and abs(mt[1] - nt[1]) <= k[1] <= mt[1] + nt[1]
-                             and abs(mt[2] - nt[2]) <= k[2] <= mt[2] + nt[2]))
+    return tuple(k for k in gamma_module((a0 + a1, b0 + b1, c0 + c1)) if k not in covered)
 
 
 def section_sweep(top):
@@ -290,8 +280,11 @@ def section_sweep(top):
             res = verify_gamma_product(m, n)
             if not res["ok"]:
                 failures.append([tuple(m), tuple(n), [tuple(t) for t in res["missing"]]])
+            # Inside Gamma(m + n) a component triad fails only by its lower
+            # bound (see `_product_table`), so this is the componentwise T test.
+            lo0, lo1, lo2 = abs(m[0] - n[0]), abs(m[1] - n[1]), abs(m[2] - n[2])
             for k in gamma_module(m + n):
-                if (all(map(in_tensor_semigroup, zip(m, n, k)))
+                if (k[0] >= lo0 and k[1] >= lo1 and k[2] >= lo2
                         and not product_contains(k, m, n)):
                     degenerate.append([list(k), list(m), list(n)])
     degenerate.sort()

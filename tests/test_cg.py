@@ -293,17 +293,18 @@ def test_product_contains_needs_componentwise_t():
 
 
 def test_product_contains_symmetry_exhaustive():
-    # product_contains keeps one cache entry for (k, m, n) and (k, n, m), so
-    # the m <-> n symmetry is checked on the uncached composite entry.
+    # product_contains keeps one table for (m, n) and (n, m), so the m <-> n
+    # symmetry is checked on the uncached tables, built in both orders.
     triples = all_triples(4)
     count = 0
     for m in triples:
         for n in triples:
-            for k in cg.gamma_module(m + n):
-                count += 1
-                assert abs(cg._composite_entry(k, m, n)) == abs(cg._composite_entry(k, n, m)), \
-                    (k, m, n)
-    assert count == 27069
+            table = cg._product_table(m, n)
+            assert table == cg._product_table(n, m), (m, n)
+            assert table <= set(cg.gamma_module(m + n)), (m, n)
+            count += len(table)
+    # the 19,495 componentwise-valid (k, m, n), less the 884 degenerate ones
+    assert count == 19495 - 884
 
 
 def test_product_contains_implies_componentwise_t():
@@ -353,7 +354,10 @@ def test_gamma_module_examples():
 def test_product_cache_checks_every_new_key():
     cg.product_contains(T(2, 2, 4), T(1, 1, 2), T(1, 1, 2))
     assert cg._PRODUCT_CACHE
+    # An invalid k on a pair that has no table yet builds none.
+    cg._PRODUCT_CACHE.pop(((1, 1, 2), (2, 0, 2)), None)
     for bad in ((T(1, 1, 1), T(1, 1, 2), T(1, 1, 2)),
+                (T(1, 1, 1), T(2, 0, 2), T(1, 1, 2)),
                 (T(2, 2, 4), T(1, 1, 1), T(1, 1, 2)),
                 ((2, 2, 4), (1, 1, 2), (0, 0, 1))):
         before = dict(cg._PRODUCT_CACHE)
@@ -504,8 +508,9 @@ def test_product_contains_property(data):
 
 
 def lexicographic_gamma_product(m, n):
-    """Reference: the first witness pair of Gamma(m) x Gamma(n) in
-    lexicographic order, with no Cartan splits tried first."""
+    """Reference: each k of Gamma(m + n) tried on the pairs of Gamma(m) x
+    Gamma(n) in lexicographic order through `product_contains`, with no
+    union of tables."""
     missing = [k for k in cg.gamma_module(m + n)
                if not any(cg.product_contains(k, mt, nt)
                           for mt in cg.gamma_module(m) for nt in cg.gamma_module(n))]
@@ -528,11 +533,14 @@ def test_search_order_changes_no_verdict():
 
 def test_interval_filter_needs_no_parity_test():
     # For mt in Gamma(m), nt in Gamma(n) and k in Gamma(m + n) every
-    # component sum mt_i + nt_i + k_i is even, so the fallback's interval
-    # test selects exactly the pairs that in_tensor_semigroup selects.  Both
-    # tests go component by component, so it suffices to check every
-    # (mt_i, nt_i, k_i) that occurs; both are symmetric in (m, mt) <->
-    # (n, nt), so m <= n suffices too.
+    # component sum mt_i + nt_i + k_i is even, so the interval test selects
+    # exactly the triads that in_tensor_semigroup selects.  So a k of
+    # Gamma(m + n) outside Gamma(mt + nt) fails a triad of (mt, nt, k), and
+    # Gamma(m) . Gamma(n) is the union of the product tables; and where k
+    # <= mt + nt, as in `_product_table` and `section_sweep`, only the lower
+    # bounds |mt_i - nt_i| <= k_i need testing.  Both tests go component by
+    # component, so it suffices to check every (mt_i, nt_i, k_i) that
+    # occurs; both are symmetric in (m, mt) <-> (n, nt), so m <= n suffices.
     triples = all_triples(4)
     for i, m in enumerate(triples):
         for n in triples[i:]:
@@ -570,9 +578,10 @@ def test_section_sweep_computes_fewer_products():
     cg._VERIFY_CACHE.clear()
     res = cg.section_sweep(4)
     assert res["ok"] and len(res["degenerate"]) == 884
-    # 60,267 keys with the lexicographic search alone; 28,236 with one key
-    # per argument order and a fallback over every pair
-    assert len(cg._PRODUCT_CACHE) <= 10064
+    # 60,267 keys (k, m, n) with the lexicographic search alone; 28,236 with
+    # one key per argument order and 10,064 with one per unordered product;
+    # now one table per unordered pair of the 42 triples.
+    assert len(cg._PRODUCT_CACHE) == 42 * 43 // 2
 
 
 @pytest.mark.parametrize("top,size", [(3, 106), (4, 884)])

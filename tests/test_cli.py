@@ -214,6 +214,28 @@ def test_normality_work_guard(tmp_path, capsys, monkeypatch):
     assert main(["normality", "1.6", "--p", "7", "--q", "7", "--r", "3", "--s", "2",
                  "--bound", "-9", "--out", str(out)]) == 2
     assert "bound must be >= 1" in capsys.readouterr().err
+    # An estimate beyond every float is still formatted, in integers.
+    big = tmp_path / "big.json"
+    assert main(["normality", "1.6", "--p", "7", "--q", "7", "--r", "3", "--s", "2",
+                 "--bound", str(10 ** 20), "--out", str(big)]) == 2
+    assert_one_error_line(capsys, f"--bound {10 ** 20} over the 11 Sigma coordinates")
+    assert not big.exists()
+
+
+def test_cg_verify_work_guard(tmp_path, capsys, monkeypatch):
+    # 9^9 = 3.9 x 10^8 triples (k, m, n) at bound 8: refused before any work.
+    out = tmp_path / "out.json"
+    for bound, estimate in (("8", "3.9e+8"), (str(10 ** 20), "1.0e+180")):
+        assert main(["cg-verify", bound, "--out", str(out)]) == 2
+        assert_one_error_line(capsys, f"cg-verify {bound} means up to {estimate} triples "
+                                      "(k, m, n), above the budget of 2e+8")
+    assert not out.exists()
+    # 8^9 = 1.3 x 10^8 at bound 7 still runs.
+    calls = []
+    monkeypatch.setattr(cli.cg, "section_sweep",
+                        lambda top: calls.append(top) or {"ok": True})
+    assert main(["cg-verify", "7", "--out", str(out)]) == 0
+    assert calls == [7]
 
 
 @pytest.mark.parametrize("argv, digest", [
@@ -338,8 +360,7 @@ def test_integer_beyond_index_range_is_usage_error(argv, text, tmp_path, capsys)
 
 # Integers for the fuzz test: small ones, and one beyond the index range.
 # None is mid-size: `pairs A 1000000` is slow rather than wrong.
-# --max-degree and the cg-verify bound have no work guard, so they only get
-# small ones.
+# --max-degree has no work guard, so it only gets small ones.
 SMALL = st.integers(-3, 4).map(str)
 ANY_INT = st.one_of(SMALL, st.just(BIG))
 PAIR_KEYS = st.builds("{}:{}{}".format, st.sampled_from("ABCDE"), ANY_INT,
@@ -375,7 +396,7 @@ def cli_argvs(draw, out_paths):
         argv += (flags(draw, ["--max-degree"], SMALL) if command == "semigroup"
                  else flags(draw, ["--bound"], ANY_INT))
     elif command == "cg-verify":
-        argv = [command] + draw(st.lists(SMALL, max_size=1))
+        argv = [command] + draw(st.lists(ANY_INT, max_size=1))
     else:
         argv = [command] + flags(draw, ["--max-degree"], SMALL)
     return argv + flags(draw, ["--format"], st.sampled_from(["json", "tsv", "xml"])) + [
