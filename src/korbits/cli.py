@@ -6,8 +6,9 @@ canonical order with sorted keys and no timestamps; run metadata (tool
 version, command, parameters) lives in a separate header object.
 
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error
-(including a --max-degree below the degree of a case's closed forms, an
-integer too large for an index and an --out that cannot be written).
+(including a --max-degree below the degree of a case's closed forms, a
+bound whose estimated work exceeds the command's budget, an integer too
+large for an index and an --out that cannot be written).
 """
 
 from __future__ import annotations
@@ -107,19 +108,44 @@ def _closed_forms(case, params, max_degree):
     return closed
 
 
-def _check_case(case, params, closed, max_degree):
-    """(system, enum, match, normal): the case's system, its generators up to
-    max_degree, whether they are the closed forms, and the normality verdict."""
-    system = build_case_system(case, params)
+# gamma_semigroup enumerates a box of Sigma coordinates for each of at most
+# (D + 1)^2 targets (n1, n2), and gamma_sigma_semigroup the box {0..D}^k, k
+# the number of Sigma coordinates.  The targets' box bounds came to at most
+# 2D/3 on every system measured, so (D + 1)^(k + 2) estimates the points
+# either walks.  On a 2-core x86-64 host with CPython 3.11, estimates of
+# 4.1 x 10^6, 1.0 x 10^7, 1.9 x 10^7 and 2.9 x 10^7 (1.4 --p 5 at degree 20,
+# 1.6 --p 5 --q 5 --r 2 --s 1 at 5, 1.6 --p 4 --q 4 --r 1 --s 1 at 10,
+# 1.4 --p 5 at 30) ran in 2.0, 5.7, 6.0 and 18.4 s; 4.0 x 10^7 (1.6 --p 5
+# --q 5 --r 2 --s 1 at 6) took 15.7 s and 6.0 x 10^7 (1.6 --p 6 --q 5 --r 0
+# --s 4 at 5, its closed forms' degree) 37.5 s.
+_DEGREE_BUDGET = 3 * 10 ** 7
+
+
+def _check_degree_work(systems, max_degree):
+    """ValueError if the systems' Hilbert bases up to max_degree exceed the
+    work budget; nothing is enumerated."""
+    points = sum((max_degree + 1) ** (len(s.sigma_in_colors) + 2) for s in systems)
+    if points > _DEGREE_BUDGET:
+        raise ValueError(f"--max-degree {max_degree} means up to {Decimal(points):.1e} "
+                         f"enumerated points, above the budget of "
+                         f"{Decimal(_DEGREE_BUDGET):.0e}; give a smaller --max-degree or "
+                         f"a case with fewer Sigma coordinates")
+
+
+def _check_case(system, closed, max_degree):
+    """(enum, match, normal): the system's generators up to max_degree,
+    whether they are the closed forms, and the normality verdict."""
     enum = gamma_semigroup(system, max_degree)
     match = sorted(g.key() for g in enum) == sorted(g.key() for g in closed)
-    return system, enum, match, normality_check(system)["normal"]
+    return enum, match, normality_check(system)["normal"]
 
 
 def _cmd_semigroup(args):
     params = _case_params(args)
     closed = _closed_forms(args.case, params, args.max_degree)
-    system, enum, match, normal = _check_case(args.case, params, closed, args.max_degree)
+    system = build_case_system(args.case, params)
+    _check_degree_work([system], args.max_degree)
+    enum, match, normal = _check_case(system, closed, args.max_degree)
     lat = semigroup.lattice(system)
     d1, d2 = system.designated
     rows = []
@@ -196,10 +222,12 @@ def _cmd_cg_verify(args):
 
 
 def _cmd_report_all(args):
-    semigroup_cases = [(case, params, _closed_forms(case, params, args.max_degree))
+    semigroup_cases = [(case, params, build_case_system(case, params),
+                        _closed_forms(case, params, args.max_degree))
                        for case, params in (("1.4", {"p": 5}), ("1.5", {"q": 5}),
                                             ("1.6", {"p": 4, "q": 4, "r": 1, "s": 1}),
                                             ("1.7", {"p": 4, "q": 4, "r": 1, "s": 1}))]
+    _check_degree_work([system for _, _, system, _ in semigroup_cases], args.max_degree)
     status = 0
     sections = {}
     for t, n in (("A", 4), ("B", 3), ("C", 2), ("D", 5)):
@@ -207,8 +235,8 @@ def _cmd_report_all(args):
             sections[f"orbits/{spec.key()}"], ok = _orbit_rows(spec)
             if not ok:
                 status = 1
-    for case, params, closed in semigroup_cases:
-        _, enum, match, normal = _check_case(case, params, closed, args.max_degree)
+    for case, params, system, closed in semigroup_cases:
+        enum, match, normal = _check_case(system, closed, args.max_degree)
         sections[f"semigroup/{case}"] = {
             "params": params, "match": match, "normal": normal,
             "generators": [[g.n1, g.n2, list(g.E)] for g in enum]}

@@ -33,8 +33,8 @@ Every basis element is a matrix unit or a signed pair of them, so the
 verification kernels work on a sparse form, a dict {(i, j): v} of the
 nonzero entries.  Every bracket [x, b] goes through one indexed ad(x),
 `_ad`, and every other product through `_mul`.  `MatrixTriple` keeps
-dense matrices, each kernel converts h, e and f once, and the triple keeps
-(dim K_e, dim Ke) once computed.
+dense matrices and, once first used, their sparse forms and (dim K_e,
+dim Ke); only `jordan_type`, which takes a bare matrix, converts its own.
 """
 
 from __future__ import annotations
@@ -134,10 +134,15 @@ class MatrixTriple:
         return realization(self.record.pair)
 
     @cached_property
+    def sparse(self):
+        """(h, e, f) in the sparse form, converted on first use and kept."""
+        return tuple(_sparse(m) for m in (self.h, self.e, self.f))
+
+    @cached_property
     def centralizer_dims(self):
         """`centralizer_dim`, computed on first use and kept with the triple."""
         real = self.realization
-        ad_e = _ad(_sparse(self.e))
+        ad_e = _ad(self.sparse[1])
         orbit = linalg.rank([real.p_coords(ad_e(x)) for x in real.k_basis])
         return real.k_dim - orbit, orbit
 
@@ -645,7 +650,7 @@ def build_triple(rec):
 
 def verify_triple(triple):
     """Exact checks of the normal-triple conditions; never raises."""
-    h, e, f = (_sparse(m) for m in (triple.h, triple.e, triple.f))
+    h, e, f = triple.sparse
     real = triple.realization
     ad_h = _ad(h)
     sl2 = (ad_h(e) == _add({}, e, 2)
@@ -681,6 +686,9 @@ def centralizer_dim(triple):
     return triple.centralizer_dims
 
 
+# The trial primes, fastest first.  Below 2^30 every residue is one CPython
+# digit; a prime above the matrix size keeps k! invertible in `_exp_pair_modp`.
+_FAST_PRIME = (1 << 30) - 35
 _TRIAL_PRIME = (1 << 61) - 1
 _TRIALS = 4
 
@@ -709,9 +717,11 @@ def _generic_borel_rank_modp(triple, rng, p):
     real = triple.realization
     nil = {}
     for b in real.minus_basis:
-        nil = _add(nil, b, rng.randint(1, 9))
-    g, ginv = _exp_pair_modp(nil, real.dim, p)
-    x = _mul(_mul(g, _sparse(triple.e), p), ginv, p)
+        c = rng.randint(1, 9)
+        for ij, v in b.items():
+            nil[ij] = nil.get(ij, 0) + c * v
+    g, ginv = _exp_pair_modp(_reduced(nil, None), real.dim, p)
+    x = _mul(_mul(g, triple.sparse[1], p), ginv, p)
     ad_x = _ad(x, p)
     return linalg.rank([real.p_coords(ad_x(b)) for b in real.borel_basis], p)
 
@@ -721,18 +731,26 @@ def is_spherical(triple):
 
     The raw case representatives need not be in general position w.r.t. the
     fixed Borel (any Borel gives the same answer), so dim(b.x) is measured
-    modulo a large prime at x = exp(N-) e for pseudo-random N- in n-: with B
-    these fill the big cell, and [b, Ad(u)x] = Ad(u)[b, x] for u in B.
+    modulo a prime at x = exp(N-) e for pseudo-random N- in n-: with B these
+    fill the big cell, and [b, Ad(u)x] = Ad(u)[b, x] for u in B.  The
+    _TRIALS points are tried mod _FAST_PRIME = 2^30 - 35 first and, only if
+    none reaches dim Kx there, again mod _TRIAL_PRIME = 2^61 - 1; the rng
+    is seeded afresh for each prime, so both try the same points.
 
-    True is certified exactly: the rank mod p is at most the rank over Q,
-    which is at most dim Kx, so a trial that reaches dim Kx proves the Borel
-    orbit of that point open.  False is one-sided: none of the _TRIALS
-    points reached dim Kx, which for a spherical orbit happens only if every
-    point lands on the proper closed subset where the rank mod p drops.
+    True is certified exactly: both primes exceed the matrix size, so the k!
+    of exp(N-) are units and x has a reduction mod p; its rank mod p is at
+    most the rank over Q, which is at most dim Kx, so a trial that reaches
+    dim Kx proves the Borel orbit of that point open.  False is one-sided:
+    none of the _TRIALS points reached dim Kx mod 2^61 - 1, which for a
+    spherical orbit happens only if every point lands on the proper closed
+    subset where the rank mod that prime drops.
     """
-    rng = random.Random(0x5EED)
-    return any(_generic_borel_rank_modp(triple, rng, _TRIAL_PRIME)
-               == triple.centralizer_dims[1] for _ in range(_TRIALS))
+    dim = triple.centralizer_dims[1]
+    for p in (_FAST_PRIME, _TRIAL_PRIME):
+        rng = random.Random(0x5EED)
+        if any(_generic_borel_rank_modp(triple, rng, p) == dim for _ in range(_TRIALS)):
+            return True
+    return False
 
 
 def p_height(triple):
@@ -742,7 +760,7 @@ def p_height(triple):
     (ad e)^(2N-1) = 0.
     """
     real = triple.realization
-    ad_e = _ad(_sparse(triple.e))
+    ad_e = _ad(triple.sparse[1])
     best = 0
     for y in real.p_basis:
         n = 0
@@ -792,7 +810,7 @@ def bicone_witness(triple):
     """Lie-level bicone data: the central charges (+m, -m) of e."""
     real = triple.realization
     m = real.spec.m
-    zeta_weights = diagonal_weights(real.zeta, _sparse(triple.e))
+    zeta_weights = diagonal_weights(real.zeta, triple.sparse[1])
     charges = tuple(c if c in zeta_weights else None for c in (m, -m))
     return {
         "chi_charges": charges,

@@ -172,18 +172,6 @@ def _dominated_witness(system, e_vec):
     return None
 
 
-def sections_decomposition(system, e_vec):
-    """The full list {F in N-Delta : F <=_Sigma E}, canonically ordered.
-
-    Its length is the number of irreducible summands of the section module
-    of the line bundle attached to E.
-    """
-    lat = lattice(system)
-    out = [tuple(x - y for x, y in zip(e_vec, lat.colors_of(c)))
-           for c in lat.enumerate_sub(e_vec)]
-    return sorted(out, reverse=True)
-
-
 def covering_differences(system, bound):
     """All gamma in N-Sigma with coordinates <= bound covering some pair.
 
@@ -301,26 +289,6 @@ def normality_check(system):
             result["normal"] = False
             result["witnesses"][label] = witness
     return result
-
-
-def weight_semigroup(system, lam1, lam2, color_weights, max_degree=4):
-    """Highest weights n1 lam1 + n2 lam2 - omega(n1 Dp1 + n2 Dp2 - E) over
-    the computed generators; needs a weight for every color."""
-    missing = [c for c in system.colors if c not in color_weights]
-    if missing:
-        raise ValueError(f"missing color weights: {missing}")
-    d1, d2 = _designated(system)
-    gens = gamma_semigroup(system, max_degree)
-    wlen = len(lam1)
-    out = []
-    for g in gens:
-        gamma = tuple(g.n1 * a + g.n2 * b - e for a, b, e in zip(d1, d2, g.E))
-        corr = [0] * wlen
-        for i, cname in enumerate(system.colors):
-            for t in range(wlen):
-                corr[t] += gamma[i] * color_weights[cname][t]
-        out.append((g, tuple(g.n1 * lam1[t] + g.n2 * lam2[t] - corr[t] for t in range(wlen))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,6 @@ def system_ax111():
     return sys_.with_designated(sys_.unit_color("D1"), sys_.unit_color("D2"))
 
 
-# T-weights of the a^x(1,1,1) line bundles, from the matrix-coefficient model.
-AX111_COLOR_WEIGHTS = {"D1": (0, 1, 1), "D2": (1, 0, 1), "D3": (1, 1, 0)}
-
-
 def _five_color_system(name, ambient, chain_comp, wing_comp, chain_rank):
     """Common core of the +-3^2 systems: colors D1..D5 (D4 = D5 if the
     chain has rank 3).  chain_comp indexes the long A-factor, wing_comp the

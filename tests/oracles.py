@@ -2,12 +2,19 @@
 exact solve on it, the euclidean realizations of the classical root systems,
 color vectors of spherical systems, orbit dimensions read off signed Young
 diagrams and a Racah 6j/9j zero test.  None of them runs `linalg.echelon`,
-`korbits.cg` or any other kernel that they check."""
+`korbits.cg` or any other kernel that they check.
+
+It also keeps the weight-monoid helpers that no command reaches yet, with
+their tests: Cartan matrices, the a^x(1,1,1) color weights, the section
+modules and the highest weights of the weight semigroup (ROADMAP items 7
+and 8 bring back what they use)."""
 
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
 
+from korbits import rootlat
+from korbits import semigroup as sg
 from korbits.hermitian import SLPQ, SO_EVEN_GL, SO_EVEN_VECTOR, SO_ODD, SP
 
 
@@ -135,6 +142,85 @@ def color_sum(system, *names):
     for name in names:
         v[system.color_index(name)] += 1
     return tuple(v)
+
+
+# ---------------------------------------------------------------------------
+# Cartan matrices and weight monoids.
+
+def cartan_matrix(type_, rank):
+    """Bourbaki Cartan matrix of an irreducible classical root system, with
+    entries a_ij = <alpha_i, alpha_j^vee>: row i is alpha_i in the basis of
+    fundamental weights."""
+    rootlat._validate(type_, rank)
+    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i in range(rank - 1):
+        a[i][i + 1] = a[i + 1][i] = -1
+    if type_ == "B" and rank >= 2:
+        a[rank - 2][rank - 1] = -2
+    elif type_ == "C" and rank >= 2:
+        a[rank - 1][rank - 2] = -2
+    elif type_ == "D":
+        a[rank - 2][rank - 1] = a[rank - 1][rank - 2] = 0
+        a[rank - 3][rank - 1] = a[rank - 1][rank - 3] = -1
+    return a
+
+
+def root_system_cartan(rs):
+    """Block-diagonal Cartan matrix of a `RootSystem`; factors are mutually
+    orthogonal."""
+    n = rs.total_rank
+    a = [[0] * n for _ in range(n)]
+    for (t, r), off in zip(rs.components, rs.offsets()):
+        block = cartan_matrix(t, r)
+        for i in range(r):
+            for j in range(r):
+                a[off + i][off + j] = block[i][j]
+    return a
+
+
+def to_fund_weights(rs, v):
+    """Rewrite a SimpleRoots vector of a `RootSystem` in the fundamental-weight
+    basis."""
+    assert v.basis == rootlat.SIMPLE_ROOTS
+    a = root_system_cartan(rs)
+    n = rs.total_rank
+    coords = tuple(sum(v.coords[i] * a[i][j] for i in range(n)) for j in range(n))
+    return rootlat.LatticeVector(rootlat.FUND_WEIGHTS, coords)
+
+
+# T-weights of the a^x(1,1,1) line bundles, from the matrix-coefficient model.
+AX111_COLOR_WEIGHTS = {"D1": (0, 1, 1), "D2": (1, 0, 1), "D3": (1, 1, 0)}
+
+
+def sections_decomposition(system, e_vec):
+    """The full list {F in N-Delta : F <=_Sigma E}, canonically ordered.
+
+    Its length is the number of irreducible summands of the section module
+    of the line bundle attached to E.
+    """
+    lat = sg.lattice(system)
+    out = [tuple(x - y for x, y in zip(e_vec, lat.colors_of(c)))
+           for c in lat.enumerate_sub(e_vec)]
+    return sorted(out, reverse=True)
+
+
+def weight_semigroup(system, lam1, lam2, color_weights, max_degree=4):
+    """Highest weights n1 lam1 + n2 lam2 - omega(n1 Dp1 + n2 Dp2 - E) over
+    the computed generators; needs a weight for every color."""
+    missing = [c for c in system.colors if c not in color_weights]
+    if missing:
+        raise ValueError(f"missing color weights: {missing}")
+    d1, d2 = sg._designated(system)
+    wlen = len(lam1)
+    out = []
+    for g in sg.gamma_semigroup(system, max_degree):
+        gamma = tuple(g.n1 * a + g.n2 * b - e for a, b, e in zip(d1, d2, g.E))
+        corr = [0] * wlen
+        for i, cname in enumerate(system.colors):
+            for t in range(wlen):
+                corr[t] += gamma[i] * color_weights[cname][t]
+        out.append((g, tuple(g.n1 * lam1[t] + g.n2 * lam2[t] - corr[t] for t in range(wlen))))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,33 @@ def test_cg_verify_work_guard(tmp_path, capsys, monkeypatch):
     assert calls == [7]
 
 
+def test_max_degree_work_guard(tmp_path, capsys, monkeypatch):
+    # (D + 1)^(k + 2) summed over the systems, against a budget of 3 x 10^7:
+    # 32^5 for 1.4 --p 5 (k = 3) at degree 31, 2 (11^5 + 11^7) for report-all
+    # at 10.
+    out = tmp_path / "out.json"
+    for argv, estimate in ((["semigroup", "1.4", "--p", "5", "--max-degree", "31"], "3.4e+7"),
+                           (["semigroup", "1.4", "--p", "5", "--max-degree", BIG], "1.0e+100"),
+                           # k = 8 at its closed forms' degree: 6^10.
+                           (["semigroup", "1.6", "--p", "6", "--q", "5", "--r", "0", "--s", "4",
+                             "--max-degree", "5"], "6.0e+7"),
+                           (["report-all", "--max-degree", "10"], "3.9e+7"),
+                           (["report-all", "--max-degree", BIG], "2.0e+140")):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert_one_error_line(capsys, f"--max-degree {argv[-1]} means up to {estimate} "
+                                      "enumerated points, above the budget of 3e+7")
+    assert not out.exists()
+    # One degree lower each passes the guard, before any orbit or enumeration.
+    calls = []
+    monkeypatch.setattr(cli, "_check_case",
+                        lambda system, closed, degree: calls.append(degree) or ([], True, True))
+    monkeypatch.setattr(cli, "gamma_sigma_semigroup", lambda system, bound: [])
+    monkeypatch.setattr(cli, "_orbit_rows", lambda spec: ([], True))
+    assert main(["semigroup", "1.4", "--p", "5", "--max-degree", "30", "--out", str(out)]) == 0
+    assert main(["report-all", "--max-degree", "9", "--out", str(out)]) == 0
+    assert calls == [30] + [9] * 4
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["normality", "1.6", "--p", "4", "--q", "4", "--r", "1", "--s", "1", "--bound", "3"],
      "e97e35e09793243ffd9f67f822832433c7c879b5099968ee92026623a8d853b5"),
@@ -360,7 +387,6 @@ def test_integer_beyond_index_range_is_usage_error(argv, text, tmp_path, capsys)
 
 # Integers for the fuzz test: small ones, and one beyond the index range.
 # None is mid-size: `pairs A 1000000` is slow rather than wrong.
-# --max-degree has no work guard, so it only gets small ones.
 SMALL = st.integers(-3, 4).map(str)
 ANY_INT = st.one_of(SMALL, st.just(BIG))
 PAIR_KEYS = st.builds("{}:{}{}".format, st.sampled_from("ABCDE"), ANY_INT,
@@ -393,12 +419,12 @@ def cli_argvs(draw, out_paths):
         argv = [command, draw(ORBIT_IDS)]
     elif command in ("semigroup", "normality"):
         argv = [command, draw(CASES)] + flags(draw, ["--p", "--q", "--r", "--s"], ANY_INT)
-        argv += (flags(draw, ["--max-degree"], SMALL) if command == "semigroup"
-                 else flags(draw, ["--bound"], ANY_INT))
+        argv += flags(draw, ["--max-degree" if command == "semigroup" else "--bound"],
+                      ANY_INT)
     elif command == "cg-verify":
         argv = [command] + draw(st.lists(ANY_INT, max_size=1))
     else:
-        argv = [command] + flags(draw, ["--max-degree"], SMALL)
+        argv = [command] + flags(draw, ["--max-degree"], ANY_INT)
     return argv + flags(draw, ["--format"], st.sampled_from(["json", "tsv", "xml"])) + [
         "--out", draw(st.sampled_from(out_paths))]
 
@@ -457,11 +483,6 @@ UNREACHED_ALLOWLIST = {
     # Library calls the benchmark makes.
     "semigroup.leq_sigma", "semigroup.is_minuscule", "spherical.system_ax111",
     "spherical.system_case_1_6", "spherical.system_case_1_7", "cg.TTriple.entries",
-    # Kept for the color weights and the normality-by-degree check (ROADMAP
-    # items 5 and 6): weight monoids, section modules and the Cartan matrices.
-    "semigroup.weight_semigroup", "semigroup.sections_decomposition",
-    "rootlat.cartan_matrix", "rootlat.RootSystem.cartan",
-    "rootlat.RootSystem.to_fund_weights",
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -407,6 +408,44 @@ def test_borel_rank_is_invariant_under_exp_n_plus():
             ranks.append(rank)
         assert (ob.centralizer_dim(t)[1] in ranks) == ob.is_spherical(t)
     assert not ob.is_spherical(triples[-1])
+
+
+def test_first_trial_misses_under_both_primes():
+    # The one acceptance-sweep orbit whose first trial point misses: rank
+    # 18 against dim Kx 19 mod either prime, certified by the second point.
+    t = ob.build_triple(rec("A:7:p=4", "1.6", (("r", 1), ("s", 1))))
+    assert ob.centralizer_dim(t)[1] == 19
+    for p in (ob._FAST_PRIME, ob._TRIAL_PRIME):
+        rng = random.Random(0x5EED)
+        ranks = [ob._generic_borel_rank_modp(t, rng, p) for _ in range(ob._TRIALS)]
+        assert ranks[0] == 18 and 19 in ranks[1:], p
+    assert ob.is_spherical(t)
+
+
+def test_false_runs_both_primes_on_the_same_points(monkeypatch):
+    trial = ob._generic_borel_rank_modp
+    calls = []
+
+    def counting(triple, rng, p):
+        calls.append((p, rng.getstate()))
+        return trial(triple, rng, p)
+
+    monkeypatch.setattr(ob, "_generic_borel_rank_modp", counting)
+    assert not ob.is_spherical(regular_element_triple())
+    assert [p for p, _ in calls] == [ob._FAST_PRIME] * ob._TRIALS + [PRIME] * ob._TRIALS
+    fast, slow = calls[:ob._TRIALS], calls[ob._TRIALS:]
+    assert [state for _, state in fast] == [state for _, state in slow]
+    calls.clear()
+    assert ob.is_spherical(ob.build_triple(rec("B:4", "2.4")))
+    assert [p for p, _ in calls] == [ob._FAST_PRIME]
+
+
+def test_fast_prime_is_a_prime_above_every_sweep_dimension():
+    p = ob._FAST_PRIME
+    assert p < 1 << 30 < ob._TRIAL_PRIME == PRIME
+    assert all(p % d for d in range(2, math.isqrt(p) + 1))
+    # _exp_pair_modp inverts k! for k up to the matrix size.
+    assert max(ob.realization(spec).dim for spec in sweep_pairs(8)) < p
 
 
 def test_centralizer_rank_runs_once_per_triple(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 
 from korbits import linalg
 from korbits import spherical as sp
-from oracles import color_sum
+from oracles import AX111_COLOR_WEIGHTS, color_sum
 
 
 def test_ax111_data():
@@ -19,7 +19,7 @@ def test_ax111_data():
 def test_ax111_color_weights_send_roots_to_roots():
     # omega maps the color expression of sigma_i to 2 omega_i = alpha_i.
     ax = sp.system_ax111()
-    w = sp.AX111_COLOR_WEIGHTS
+    w = AX111_COLOR_WEIGHTS
     for i, row in enumerate(ax.sigma_in_colors):
         total = [0, 0, 0]
         for c, name in zip(row, ax.colors):
