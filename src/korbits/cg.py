@@ -6,15 +6,20 @@ f.x_j = x_{j+1}, e.x_j = j(m-j+1) x_{j-1}, h.x_j = (m-2j) x_j.  Everything
 is integer arithmetic: projections are primitive integer rows stored by
 weight block, and the product criterion is a zero test, so scalings never
 matter (the tests check this explicitly).  Each product V(m) . V(n) is
-computed once, as the table of its components, for the unordered pair.
+computed once, as the table of its components, for the orbit of the
+unordered pair under the permutations of the three SL(2) factors: the
+product is commutative, and permuting the factors of k, m and n together
+maps V(k) inside V(m) . V(n) to V(sigma k) inside V(sigma m) . V(sigma n).
+The Gamma-product search is kept per orbit in the same way.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from itertools import permutations
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 
 
 class TTriple(namedtuple("TTriple", "m m1 m2")):
@@ -174,12 +179,29 @@ def _product_table(m, n):
     return frozenset(table)
 
 
+# The six permutations sigma of the three SL(2) factors, sigma(t) = (t[s0],
+# t[s1], t[s2]), each returning a plain tuple.
+_FACTOR_PERMS = tuple(itemgetter(*s) for s in permutations(range(3)))
+
+
+def _orbit_keys(m, n):
+    """(sigma, unordered key {sigma m, sigma n}) for the six sigma."""
+    return [(s, tuple(sorted((s(m), s(n))))) for s in _FACTOR_PERMS]
+
+
 def _table(m, n):
-    """The cached `_product_table` of the unordered pair {m, n}, both in T."""
+    """The cached `_product_table` of the unordered pair {m, n}, both in T.
+    A miss runs the kernel once, on the least key of the pair's orbit under
+    the factor permutations, and stores table(sigma m, sigma n) = sigma
+    table(m, n) under every key of that orbit."""
     key = (m, n) if m <= n else (n, m)
     table = _PRODUCT_CACHE.get(key)
     if table is None:
-        table = _PRODUCT_CACHE[key] = _product_table(*key)
+        least = min(k for _, k in _orbit_keys(m, n))
+        base = _product_table(*least)
+        for sigma, image in _orbit_keys(*least):
+            _PRODUCT_CACHE[image] = frozenset(map(sigma, base))
+        table = _PRODUCT_CACHE[key]
     return table
 
 
@@ -193,9 +215,11 @@ def product_contains(k, m, n):
     there is zero exactly when c = 0, and that one entry decides.
 
     c is a 9j recoupling coefficient up to a nonzero factor, and exchanging
-    m and n changes it by a sign only (Edmonds 1957, ch. 6).  So one table
-    per unordered pair {m, n}, `_product_table`, holds every k of the
-    product, and the call is a set lookup.
+    m and n, or permuting the three factors of k, m and n at once, permutes
+    the 9j symbol's rows or columns and so changes it by a sign only
+    (Edmonds 1957, ch. 6).  So one `_product_table` per orbit of the
+    unordered pair {m, n} under the factor permutations fills the table of
+    every pair in that orbit, and the call is a set lookup.
     """
     # Tuples (TTriple among them) are used as they are; a list is copied.
     if not (isinstance(k, tuple) and isinstance(m, tuple) and isinstance(n, tuple)):
@@ -240,15 +264,23 @@ def verify_gamma_product(m, n):
     Gamma(m + n) fails a component triad of (mt, nt, k), so V(mt) . V(nt)
     cannot contain it.
 
-    The product is commutative, so one search serves both orders: the
-    result is kept per unordered pair, keyed like the product tables, and
-    every call returns a fresh dict and list.
+    The product is commutative and Gamma(sigma m) = sigma Gamma(m) for a
+    permutation sigma of the three factors, so one search serves the orbit
+    of the unordered pair: it runs on the orbit's least key, and each key
+    keeps sigma of its `missing`, re-sorted into Gamma order.  m and n are
+    checked in the caller's order first, so an error names the caller's
+    triple.  Every call returns a fresh dict and list.
     """
     m, n = tuple(m), tuple(n)
     key = (m, n) if m <= n else (n, m)
     missing = _VERIFY_CACHE.get(key)
     if missing is None:
-        missing = _VERIFY_CACHE[key] = _gamma_product_missing(*key)
+        _check_members(m, n)
+        least = min(k for _, k in _orbit_keys(m, n))
+        base = _gamma_product_missing(*least)
+        for sigma, image in _orbit_keys(*least):
+            _VERIFY_CACHE[image] = tuple(sorted(TTriple(*sigma(k)) for k in base))
+        missing = _VERIFY_CACHE[key]
     return {"ok": not missing, "missing": list(missing)}
 
 

@@ -115,9 +115,10 @@ def _closed_forms(case, params, max_degree):
 # either walks.  On a 2-core x86-64 host with CPython 3.11, estimates of
 # 4.1 x 10^6, 1.0 x 10^7, 1.9 x 10^7 and 2.9 x 10^7 (1.4 --p 5 at degree 20,
 # 1.6 --p 5 --q 5 --r 2 --s 1 at 5, 1.6 --p 4 --q 4 --r 1 --s 1 at 10,
-# 1.4 --p 5 at 30) ran in 2.0, 5.7, 6.0 and 18.4 s; 4.0 x 10^7 (1.6 --p 5
-# --q 5 --r 2 --s 1 at 6) took 15.7 s and 6.0 x 10^7 (1.6 --p 6 --q 5 --r 0
-# --s 4 at 5, its closed forms' degree) 37.5 s.
+# 1.4 --p 5 at 30) ran in 0.5, 4.6, 1.8 and 1.2 s; 4.0 x 10^7 (1.6 --p 5
+# --q 5 --r 2 --s 1 at 6) took 13.2 s and 6.0 x 10^7 (1.6 --p 6 --q 5 --r 0
+# --s 4 at 5, its closed forms' degree) 21.6 s.  The Gamma_sigma box walk
+# dominates the two-wing cases.
 _DEGREE_BUDGET = 3 * 10 ** 7
 
 
@@ -206,7 +207,7 @@ def _cmd_normality(args):
 
 # section_sweep scans Gamma(m + n), at most (N + 1)^3 k, for each of at most
 # (N + 1)^6 pairs (m, n) with entries <= N.  On the same host, N = 4..7 (up to
-# 1.3 x 10^8) ran in 0.3, 0.9, 2.6 and 8.6 s, and N = 8 (3.9 x 10^8) in 27 s.
+# 1.3 x 10^8) ran in 0.2, 0.5, 1.1 and 2.4 s, and N = 8 (3.9 x 10^8) in 7.5 s.
 _SWEEP_BUDGET = 2 * 10 ** 8
 
 

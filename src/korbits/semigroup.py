@@ -15,7 +15,9 @@ scales it exactly along the ray.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice, product
 
 from . import linalg
 from .spherical import TwoWingSystem, system_case_1_4, system_case_1_5
@@ -193,7 +195,6 @@ def covering_differences(system, bound):
         return boxes[c]
 
     out = []
-    from itertools import product
     for c in product(range(bound + 1), repeat=k):
         if not any(c):
             continue
@@ -213,22 +214,17 @@ def covering_differences(system, bound):
 
 
 def _hilbert_reduce(members):
-    """Drop every member that is a sum of two nonzero members."""
+    """Drop every member that is a sum of two nonzero members.  Members have
+    no negative coordinate, so in m = a + b one summand, say a, has sum(a)
+    <= sum(m) // 2 (so a != m and b != 0), and m - a is a member only if a
+    <= m.  Trying the nonzero candidates a up to that sum is exact."""
     mset = set(members)
+    nonzero = sorted((a for a in mset if any(a)), key=sum)
+    sums = [sum(a) for a in nonzero]
     gens = []
     for m in sorted(mset):
-        if not any(m):
-            continue
-        decomposable = False
-        for a in mset:
-            if not any(a) or a == m:
-                continue
-            if all(x <= y for x, y in zip(a, m)):
-                rest = tuple(y - x for x, y in zip(a, m))
-                if any(rest) and rest in mset:
-                    decomposable = True
-                    break
-        if not decomposable:
+        if any(m) and not any(tuple(y - x for x, y in zip(a, m)) in mset
+                              for a in islice(nonzero, bisect_right(sums, sum(m) // 2))):
             gens.append(m)
     return gens
 
@@ -267,7 +263,6 @@ def gamma_sigma_semigroup(system, bound=4):
     d1, d2 = _designated(system)
     allowed = {i for i, x in enumerate(d1) if x} | {i for i, x in enumerate(d2) if x}
     lat = lattice(system)
-    from itertools import product
     members = []
     for c in product(range(bound + 1), repeat=lat.k):
         gamma = lat.colors_of(c)

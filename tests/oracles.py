@@ -1,8 +1,9 @@
 """Reference oracles for the tests: textbook Gauss-Jordan over Fraction, an
 exact solve on it, the euclidean realizations of the classical root systems,
 color vectors of spherical systems, orbit dimensions read off signed Young
-diagrams and a Racah 6j/9j zero test.  None of them runs `linalg.echelon`,
-`korbits.cg` or any other kernel that they check.
+diagrams, a Racah 6j/9j zero test and the pairwise Hilbert-basis
+reduction.  None of them runs `linalg.echelon`, `korbits.cg` or any other
+kernel that they check.
 
 It also keeps the weight-monoid helpers that no command reaches yet, with
 their tests: Cartan matrices, the a^x(1,1,1) color weights, the section
@@ -221,6 +222,28 @@ def weight_semigroup(system, lam1, lam2, color_weights, max_degree=4):
                 corr[t] += gamma[i] * color_weights[cname][t]
         out.append((g, tuple(g.n1 * lam1[t] + g.n2 * lam2[t] - corr[t] for t in range(wlen))))
     return out
+
+
+def pairwise_hilbert_reduce(members):
+    """The members that are no sum of two nonzero members, each tested
+    against every other member, in sorted order."""
+    mset = set(members)
+    gens = []
+    for m in sorted(mset):
+        if not any(m):
+            continue
+        decomposable = False
+        for a in mset:
+            if not any(a) or a == m:
+                continue
+            if all(x <= y for x, y in zip(a, m)):
+                rest = tuple(y - x for x, y in zip(a, m))
+                if any(rest) and rest in mset:
+                    decomposable = True
+                    break
+        if not decomposable:
+            gens.append(m)
+    return gens
 
 
 # ---------------------------------------------------------------------------

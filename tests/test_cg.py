@@ -1,4 +1,5 @@
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -293,9 +294,12 @@ def test_product_contains_needs_componentwise_t():
 
 
 def test_product_contains_symmetry_exhaustive():
-    # product_contains keeps one table for (m, n) and (n, m), so the m <-> n
-    # symmetry is checked on the uncached tables, built in both orders.
+    # product_contains keeps one table per orbit of {m, n} under the factor
+    # permutations, so both symmetries are checked on the uncached tables:
+    # m <-> n on every ordered pair, and table(sigma m, sigma n) = sigma
+    # table(m, n) on every unordered one (the m <-> n check covers the rest).
     triples = all_triples(4)
+    perms = [operator.itemgetter(*p) for p in itertools.permutations(range(3))]
     count = 0
     for m in triples:
         for n in triples:
@@ -303,6 +307,10 @@ def test_product_contains_symmetry_exhaustive():
             assert table == cg._product_table(n, m), (m, n)
             assert table <= set(cg.gamma_module(m + n)), (m, n)
             count += len(table)
+            if m <= n:
+                for sigma in perms:
+                    assert cg._product_table(sigma(m), sigma(n)) == set(map(sigma, table)), \
+                        (m, n, sigma)
     # the 19,495 componentwise-valid (k, m, n), less the 884 degenerate ones
     assert count == 19495 - 884
 
@@ -367,16 +375,27 @@ def test_product_cache_checks_every_new_key():
         assert cg._PRODUCT_CACHE == before
 
 
-def test_product_cache_key_ignores_argument_type():
+def counting(monkeypatch, name):
+    """Replace cg.<name> by a wrapper that counts its calls in a list."""
+    calls = []
+    fn = getattr(cg, name)
+    monkeypatch.setattr(cg, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_product_cache_key_ignores_argument_type(monkeypatch):
     cg._PRODUCT_CACHE.clear()
+    passes = counting(monkeypatch, "_product_table")
     triple = (T(2, 2, 2), T(1, 1, 2), T(1, 1, 0))
     plain = tuple(t.entries() for t in triple)
     assert cg.product_contains(*triple)
-    assert len(cg._PRODUCT_CACHE) == 1
     assert cg.product_contains(*plain)
     assert cg.product_contains(plain[0], triple[1], list(plain[2]))
     assert cg.product_contains(triple[0], list(plain[2]), triple[1])
-    assert len(cg._PRODUCT_CACHE) == 1
+    # (2, 2, 2) in (2, 1, 1) . (1, 1, 0) is the same product, factors permuted
+    assert cg.product_contains((2, 2, 2), (2, 1, 1), (0, 1, 1))
+    assert len(passes) == 1
+    assert all(type(k) is tuple for table in cg._PRODUCT_CACHE.values() for k in table)
 
 
 def test_gamma_module_is_memoized_and_immutable():
@@ -552,8 +571,9 @@ def test_interval_filter_needs_no_parity_test():
                     assert (abs(a - b) <= k <= a + b) == cg.in_tensor_semigroup(triad)
 
 
-def test_verify_gamma_product_returns_fresh_results():
+def test_verify_gamma_product_returns_fresh_results(monkeypatch):
     cg._VERIFY_CACHE.clear()
+    searches = counting(monkeypatch, "_gamma_product_missing")
     m, n = T(1, 1, 2), T(2, 0, 2)
     first = cg.verify_gamma_product(m, n)
     assert first == {"ok": True, "missing": []}
@@ -561,7 +581,23 @@ def test_verify_gamma_product_returns_fresh_results():
     first["ok"] = False
     assert cg.verify_gamma_product(m, n) == {"ok": True, "missing": []}
     assert cg.verify_gamma_product(n, m) == {"ok": True, "missing": []}
-    assert len(cg._VERIFY_CACHE) == 1
+    assert cg.verify_gamma_product(T(2, 1, 1), T(2, 2, 0)) == {"ok": True, "missing": []}
+    assert len(searches) == 1
+
+
+def test_verify_gamma_product_maps_missing_through_the_orbit(monkeypatch):
+    # A search that misses all of Gamma(m + n): every key of the orbit must
+    # keep its own Gamma(m + n), as TTriples in Gamma order.
+    cg._VERIFY_CACHE.clear()
+    monkeypatch.setattr(cg, "_gamma_product_missing",
+                        lambda m, n: cg.gamma_module(tuple(map(sum, zip(m, n)))))
+    for m, n in ((T(3, 1, 2), T(0, 2, 2)), (T(2, 2, 0), T(1, 3, 2))):
+        for perm in itertools.permutations(range(3)):
+            sm, sn = (T(*(t[i] for i in perm)) for t in (m, n))
+            res = cg.verify_gamma_product(sm, sn)
+            assert res == {"ok": False, "missing": list(cg.gamma_module(sm + sn))}, (sm, sn)
+            assert all(type(k) is cg.TTriple for k in res["missing"])
+    assert len(cg._VERIFY_CACHE) == 6 + 6
 
 
 def test_verify_gamma_product_caches_no_invalid_input():
@@ -573,28 +609,49 @@ def test_verify_gamma_product_caches_no_invalid_input():
     assert not cg._VERIFY_CACHE
 
 
-def test_section_sweep_computes_fewer_products():
+def test_invalid_input_is_named_in_the_callers_order():
+    # The least image of ((4, 1, 1), (0, 0, 0)) under the factor permutations
+    # is ((0, 0, 0), (1, 1, 4)); the error must name the triple passed.
+    cg._VERIFY_CACHE.clear()
+    cg._PRODUCT_CACHE.clear()
+    named = r"TTriple\(m=4, m1=1, m2=1\) is not in the tensor semigroup"
+    with pytest.raises(ValueError, match=named):
+        cg.verify_gamma_product((4, 1, 1), (0, 0, 0))
+    with pytest.raises(ValueError, match=named):
+        cg.product_contains((0, 0, 0), (4, 1, 1), (0, 0, 0))
+    assert not cg._VERIFY_CACHE and not cg._PRODUCT_CACHE
+
+
+def test_section_sweep_computes_fewer_products(monkeypatch):
     cg._PRODUCT_CACHE.clear()
     cg._VERIFY_CACHE.clear()
+    passes = counting(monkeypatch, "_product_table")
+    searches = counting(monkeypatch, "_gamma_product_missing")
     res = cg.section_sweep(4)
     assert res["ok"] and len(res["degenerate"]) == 884
     # 60,267 keys (k, m, n) with the lexicographic search alone; 28,236 with
     # one key per argument order and 10,064 with one per unordered product;
-    # now one table per unordered pair of the 42 triples.
-    assert len(cg._PRODUCT_CACHE) == 42 * 43 // 2
+    # then one table per unordered pair of the 42 triples, and now one kernel
+    # pass and one search per orbit of those pairs under the factor
+    # permutations.
+    assert len(cg._PRODUCT_CACHE) == len(cg._VERIFY_CACHE) == 42 * 43 // 2
+    assert len(passes) == len(searches) == 199
 
 
 @pytest.mark.parametrize("top,size", [(3, 106), (4, 884)])
 def test_degenerate_list_symmetries(top, size):
     # The 9j zero set is invariant under permuting its columns, that is the
     # three SL(2) factors of k, m and n at once, and under exchanging the
-    # rows of m and n.  The shared cache entry makes m <-> n closure of the
-    # list itself vacuous, so each exchanged triple is also a 9j zero.
+    # rows of m and n.  The cache shares one table per orbit of {m, n} under
+    # both, which makes closure of the list itself vacuous, so each permuted
+    # or exchanged triple is also checked to be a 9j zero.
     degenerate = cg.section_sweep(top)["degenerate"]
     assert len(degenerate) == size
     listed = {tuple(map(tuple, d)) for d in degenerate}
     for k, m, n in listed:
         for perm in itertools.permutations(range(3)):
-            assert tuple(tuple(t[i] for i in perm) for t in (k, m, n)) in listed, (k, m, n)
+            sk, sm, sn = (tuple(t[i] for i in perm) for t in (k, m, n))
+            assert (sk, sm, sn) in listed, (k, m, n)
+            assert not nine_j_nonzero(*sm, *sn, *sk), (sk, sm, sn)
         assert (k, n, m) in listed
         assert not nine_j_nonzero(*n, *m, *k), (k, n, m)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from korbits import linalg
 from korbits import semigroup as sg
 from korbits import spherical as sp
-from oracles import (AX111_COLOR_WEIGHTS, color_sum, sections_decomposition, solve,
-                     weight_semigroup)
+from oracles import (AX111_COLOR_WEIGHTS, color_sum, pairwise_hilbert_reduce,
+                     sections_decomposition, solve, weight_semigroup)
 
 AX = sp.system_ax111()
 S14 = sp.system_case_1_4(5)
@@ -263,6 +263,26 @@ def test_closed_form_boundary_exclusion():
 def test_closed_form_unknown_case():
     with pytest.raises(ValueError):
         sg.closed_form_generators("9.9", {})
+
+
+def test_hilbert_reduce_matches_pairwise_reference(monkeypatch):
+    # The half-sum candidate bound against the all-pairs test, on the member
+    # sets both Hilbert bases reduce and on random sets of vectors >= 0.
+    seen = []
+    reduce_ = sg._hilbert_reduce
+    monkeypatch.setattr(sg, "_hilbert_reduce", lambda ms: seen.append(ms) or reduce_(ms))
+    for system, deg in ((S14, 12), (sp.system_case_1_6(4, 4, 1, 1), 5),
+                        (sp.system_case_1_6(5, 5, 2, 1), 4)):
+        sg.gamma_semigroup(system, deg)
+        sg.gamma_sigma_semigroup(system, 3)
+    rng = random.Random(23)
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        seen.append([tuple(rng.randint(0, 3) for _ in range(dim))
+                     for _ in range(rng.randint(0, 40))])
+    assert len(seen) == 206 and max(map(len, seen)) > 1000
+    for members in seen:
+        assert reduce_(members) == pairwise_hilbert_reduce(members), members
 
 
 def test_hilbert_basis_stable_beyond_proposition_degree():
