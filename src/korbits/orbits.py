@@ -15,11 +15,13 @@ Matrix conventions per family (all bases ordered as in the case formulas):
   and phi_a ^ phi_b -> E_ba - E_ab; the listed sums always produce integer
   matrices.
 
-For x = 1, 3, 5, case x.1 (2^r) is case x.3 (2^r, -2^s) with s = 0 and
-case x.2 (-2^r) is x.3 with r = 0, so only the x.3 formulas are written
-down.  Cases 1.5 and 1.7 are 1.4 and 1.6 of the pair with p and q (and r
-and s) exchanged, moved back from C^q + C^p to C^p + C^q.  Cases 2.y and
-4.y share one table in dim V = 2n-1 or 2n-2.
+An SL(p+q) triple is read off the record's signed Young diagram, one
+Jordan chain per row (`_diagram_triple`).  For x = 1, 3, 5, case x.1 (2^r)
+is case x.3 (2^r, -2^s) with s = 0 and case x.2 (-2^r) is x.3 with r = 0,
+so only the x.3 formulas are written down.  Only the signed partitions and
+expected dimensions of cases 1.5 and 1.7 use the mirror rule: they are
+1.4 and 1.6 of the pair with p and q (and r and s) exchanged.  Cases 2.y
+and 4.y share one table in dim V = 2n-1 or 2n-2.
 
 A realization keeps only the k- and p-bases; the Borel subalgebra b and
 its opposite nilradical n- are read off the k-basis; membership in k and p
@@ -64,7 +66,8 @@ class OrbitRecord:
 
     def signed_partition(self):
         """(part, sign, multiplicity) of each row length of the signed Young
-        diagram, zero multiplicities left out."""
+        diagram, zero multiplicities left out, by length descending and `+`
+        first; `_diagram_triple` places the chains in this row order."""
         case, r, s = _two_sided(self)
         n = self.pair.rank
         family = self.pair.family_id
@@ -484,57 +487,29 @@ def expected_dims(rec):
 # ---------------------------------------------------------------------------
 # Triple construction
 
-def _build_slpq(rec, real):
-    case, p, q, r, s, mirrored = _slpq_formula(rec)
+def _diagram_triple(p, q, rows):
+    """(h diagonal, e, f) on C^p + C^q for an SU(p, q) signed Young diagram,
+    rows (length, sign of the head, multiplicity) as `signed_partition`
+    lists them.
+
+    Each row of length a is one Jordan chain whose members alternate
+    between C^p (+) and C^q (-) from the head's sign, with h-weights a-1,
+    a-3, ...; e sends member j+1 to member j and f sends member j to j+1
+    with coefficient (j+1)(a-1-j).  Inside C^p and inside C^q the vectors
+    go by h descending and, within one h level, the rows of length 1 first,
+    then the chain members in row order."""
+    chains = [(a, sg) for a, sg, m in rows for _ in range(m)]
+    # (in C^q, -h, row length > 1, row k, member j), sorted into basis order
+    members = sorted(((sg == "+") != (j % 2 == 0), 2 * j + 1 - a, a > 1, k, j)
+                     for k, (a, sg) in enumerate(chains) for j in range(a))
+    assert len(members) == p + q and sum(not x[0] for x in members) == p
+    pos = {(k, j): i for i, (*_, k, j) in enumerate(members)}
     e, f = {}, {}
-    hv, hw = [0] * p, [0] * q
-
-    def up(m, i, j, c=1):    # e_i (x) phi'_j
-        m[i - 1, p + j - 1] = c
-
-    def lo(m, i, j, c=1):    # phi_i (x) e'_j
-        m[p + j - 1, i - 1] = c
-
-    def two_plus(i, j):      # a part (2, +): e_i (x) phi'_j, h = 1 on e_i, -1 on e'_j
-        up(e, i, j)
-        lo(f, i, j)
-        hv[i - 1], hw[j - 1] = 1, -1
-
-    def two_minus(i, j):     # a part (2, -): phi_i (x) e'_j, h = -1 on e_i, 1 on e'_j
-        lo(e, i, j)
-        up(f, i, j)
-        hv[i - 1], hw[j - 1] = -1, 1
-
-    if case == "1.3":
-        for i in range(1, r + 1):
-            two_plus(i, q - r + i)
-        for i in range(1, s + 1):
-            two_minus(p - s + i, i)
-    elif case == "1.4":
-        for i in (1, 2):
-            up(e, i, i)
-            lo(f, i, i, 2)
-        for i, j in ((p - 1, 1), (p, 2)):
-            lo(e, i, j)
-            up(f, i, j, 2)
-        hv[0] = hv[1] = 2
-        hv[p - 2] = hv[p - 1] = -2
-    else:  # 1.6
-        up(e, 1, q - r)
-        lo(f, 1, q - r, 2)
-        lo(e, p, q - r)
-        up(f, p, q - r, 2)
-        hv[0], hv[p - 1] = 2, -2
-        for i in range(1, r + 1):
-            two_plus(i + 1, q - r + i)
-        for i in range(1, s + 1):
-            two_minus(p - s + i - 1, i)
-    if mirrored:
-        # Back from C^q + C^p to C^p + C^q: x moves to (x + p0) mod n, p0 the record's p.
-        p0, n = rec.pair.pq[0], p + q
-        e, f = ({((i + p0) % n, (j + p0) % n): v for (i, j), v in m.items()} for m in (e, f))
-        return hw + hv, e, f
-    return hv + hw, e, f
+    for k, (a, _) in enumerate(chains):
+        for j in range(a - 1):
+            e[pos[k, j], pos[k, j + 1]] = 1
+            f[pos[k, j + 1], pos[k, j]] = (j + 1) * (a - 1 - j)
+    return [-x[1] for x in members], e, f
 
 
 def _build_so_vector(rec, real):
@@ -598,7 +573,7 @@ def _wedge_terms(pairs, dual, scale=1):
     return m
 
 
-def _build_gl_block(rec, real):
+def _build_gl_block(rec):
     n = rec.pair.rank
     case, r, s = _two_sided(rec)
     hdiag = [0] * n
@@ -632,15 +607,16 @@ def _build_gl_block(rec, real):
 
 
 def build_triple(rec):
-    """Matrices (h, e, f) realizing the case formulas for the record."""
+    """Matrices (h, e, f) for a catalogued record: read off its signed Young
+    diagram for SL(p+q), from the case formulas for the other families."""
     _check_catalogued(rec, rec.orbit_id())
     real = realization(rec.pair)
     if rec.pair.family_id == SLPQ:
-        hdiag, e, f = _build_slpq(rec, real)
+        hdiag, e, f = _diagram_triple(*rec.pair.pq, rec.signed_partition())
     elif rec.pair.family_id in (SO_ODD, SO_EVEN_VECTOR):
         hdiag, e, f = _build_so_vector(rec, real)
     else:
-        hdiag, e, f = _build_gl_block(rec, real)
+        hdiag, e, f = _build_gl_block(rec)
     h = {(i, i): v for i, v in enumerate(hdiag) if v}
     return MatrixTriple(_dense(h, real.dim), _dense(e, real.dim), _dense(f, real.dim), rec)
 

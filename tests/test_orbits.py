@@ -528,6 +528,48 @@ def test_jordan_types_match_signed_partitions():
         assert ob.jordan_type(t.e) == ob.partition_from_signed(r)
 
 
+def signed_diagrams(p, q):
+    """Every signed Young diagram with p boxes + and q boxes -, as
+    (length, sign of the head, multiplicity) rows, length descending and
+    + first, like `signed_partition`."""
+    kinds = [(a, sg) for a in range(p + q, 0, -1) for sg in "+-"]
+
+    def rest(i, p, q):
+        if p == q == 0:
+            yield ()
+        elif i < len(kinds):
+            a, sg = kinds[i]
+            plus = (a + 1) // 2 if sg == "+" else a // 2
+            m = 0
+            while m * plus <= p and m * (a - plus) <= q:
+                for tail in rest(i + 1, p - m * plus, q - m * (a - plus)):
+                    yield ((a, sg, m),) + tail if m else tail
+                m += 1
+
+    yield from rest(0, p, q)
+
+
+def test_every_su_pq_diagram_gives_a_normal_triple():
+    # Not only the catalog: every nonzero signed Young diagram of SU(p, q)
+    # with p + q <= 8 is a normal triple whose e has the diagram's rows as
+    # its Jordan type.
+    count = 0
+    for n in range(2, 9):
+        for p in range(1, n):
+            pair = parse_pair_key(f"A:{n - 1}:p={p}")
+            for rows in signed_diagrams(p, n - p):
+                if rows[0][0] == 1:
+                    continue
+                hdiag, e, f = ob._diagram_triple(p, n - p, rows)
+                h = {(i, i): v for i, v in enumerate(hdiag) if v}
+                t = ob.MatrixTriple(*(ob._dense(x, n) for x in (h, e, f)),
+                                    ob.OrbitRecord(pair, "diagram"))
+                assert all(ob.verify_triple(t).values()), rows
+                assert ob.jordan_type(t.e) == tuple(a for a, _, m in rows for _ in range(m))
+                count += 1
+    assert count == 389
+
+
 def test_signed_partition_sizes():
     # exponents sum to the defining dimension (doubled for SO(2n)/GL(n)).
     for key in ("A:7:p=3", "B:5", "C:5", "D:6:p=1", "D:6:p=6"):
